@@ -11,7 +11,7 @@ nudged back toward its anchor.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -46,6 +46,10 @@ class AttackConfig:
                     f"step size {self.step_size} exceeds the ball diameter "
                     f"{2.0 * self.epsilon}; the first step would exit immediately"
                 )
+
+    def as_dict(self) -> dict:
+        """The four settings by field name, as recorded in reports and fingerprints."""
+        return asdict(self)
 
 
 def project_linf(candidate: np.ndarray, anchor: np.ndarray, epsilon: float) -> np.ndarray:

@@ -44,7 +44,7 @@ from .nn_engine import (
     load_checkpoint,
     save_checkpoint,
 )
-from .training import TrainConfig, config_fingerprint, train
+from .training import VALID_METHODS, TrainConfig, config_fingerprint, train
 
 OUT_ROOT_ENV = "CODAT_OUT_ROOT"
 
@@ -371,7 +371,12 @@ def _write_report(report: EvalReport, resolved: dict, path: Path) -> None:
         fh.write("\n")
 
 
-def _check_dimensions(model, data: Dataset) -> None:
+def _checkpoint_and_data(args: argparse.Namespace, resolved: dict):
+    """The checkpoint's model and the evaluation data, checked to fit each other."""
+    if not Path(args.checkpoint).exists():
+        raise CliError(f"checkpoint not found: {args.checkpoint}")
+    model, _, _ = load_checkpoint(args.checkpoint)
+    data = _eval_dataset(resolved)
     expected = model.input_dim
     if data.features.shape[1] != expected:
         raise CliError(
@@ -381,6 +386,7 @@ def _check_dimensions(model, data: Dataset) -> None:
         raise CliError(
             f"checkpoint has {model.num_classes} classes, dataset labels reach {data.num_classes}"
         )
+    return model, data
 
 
 def _summary_line(tag: str, report: EvalReport) -> str:
@@ -429,11 +435,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     if args.print_config:
         sys.stdout.write(format_config(resolved))
         return 0
-    if not Path(args.checkpoint).exists():
-        raise CliError(f"checkpoint not found: {args.checkpoint}")
-    model, seed, _ = load_checkpoint(args.checkpoint)
-    data = _eval_dataset(resolved)
-    _check_dimensions(model, data)
+    model, data = _checkpoint_and_data(args, resolved)
     attack = None if args.attack == "none" else _eval_attack(resolved)
     report = evaluate(model, data, attack=attack, seed=resolved["seed"])
     out_dir = Path(args.out) if args.out else Path(args.checkpoint).parent
@@ -453,11 +455,7 @@ def cmd_attack(args: argparse.Namespace) -> int:
     if args.print_config:
         sys.stdout.write(format_config(resolved))
         return 0
-    if not Path(args.checkpoint).exists():
-        raise CliError(f"checkpoint not found: {args.checkpoint}")
-    model, _, _ = load_checkpoint(args.checkpoint)
-    data = _eval_dataset(resolved)
-    _check_dimensions(model, data)
+    model, data = _checkpoint_and_data(args, resolved)
     attack = _eval_attack(resolved)
     adv_rows = []
     nat_correct = 0
@@ -492,12 +490,7 @@ def cmd_attack(args: argparse.Namespace) -> int:
         "natural_loss": nat_loss / data.size,
         "adversarial_loss": adv_loss / data.size,
         "max_linf_shift": max_shift,
-        "attack": {
-            "epsilon": attack.epsilon,
-            "step_size": attack.step_size,
-            "steps": attack.steps,
-            "random_start": attack.random_start,
-        },
+        "attack": attack.as_dict(),
         "seed": resolved["seed"],
         "resolved_config": {k: _format_value(v) for k, v in sorted(resolved.items())},
     }
@@ -661,7 +654,7 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="flat key = value configuration file")
     parser.add_argument("--preset", choices=sorted(PRESETS), help="named configuration preset")
     parser.add_argument("--print-config", action="store_true", help="echo resolved config and exit")
-    parser.add_argument("--method", choices=["codat", "standard_at", "weighted", "worst_class"])
+    parser.add_argument("--method", choices=VALID_METHODS)
     parser.add_argument("--epochs", type=int, dest="epochs")
     parser.add_argument("--batch-size", type=int, dest="batch_size")
     parser.add_argument("--lr", type=float, dest="base_lr")
@@ -752,13 +745,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ValueError, OSError) as exc:  # CliError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RuntimeError as exc:

@@ -114,15 +114,21 @@ def evaluate(
     missing = np.nonzero(counts == 0)[0]
     if missing.size:
         raise ValueError(f"class {missing[0] + 1} has no examples in the evaluation data")
-    confusion = np.zeros((num_classes, num_classes), dtype=np.int64)
+    cells = []
     for idx, batch in enumerate(batch_iter(data, _EVAL_BATCH, seed=0, shuffle=False)):
         feats = batch.features
         if attack is not None:
             feats = pgd_attack(model, batch, attack, seed=(seed, idx))
-        logits = forward(model, LabeledBatch(feats, batch.labels))
-        predictions = np.argmax(logits, axis=1) + 1
-        for true, pred in zip(batch.labels, predictions):
-            confusion[true - 1, pred - 1] += 1
+        predictions = np.argmax(forward(model, LabeledBatch(feats, batch.labels)), axis=1)
+        if np.max(predictions) >= num_classes:
+            raise ValueError(
+                f"model predicts class {np.max(predictions) + 1}; data has {num_classes} classes"
+            )
+        # row-major cell index of (true class, predicted class), both 0-based
+        cells.append((batch.labels - 1) * num_classes + predictions)
+    confusion = np.bincount(np.concatenate(cells), minlength=num_classes * num_classes).reshape(
+        num_classes, num_classes
+    )
     row_sums = confusion.sum(axis=1)
     per_class = confusion.diagonal() / row_sums
     average = float(confusion.trace() / data.size)
@@ -134,14 +140,7 @@ def evaluate(
         confusion=confusion,
         attack=attack_tag(attack),
         seed=seed,
-        attack_config=None
-        if attack is None
-        else {
-            "epsilon": attack.epsilon,
-            "step_size": attack.step_size,
-            "steps": attack.steps,
-            "random_start": attack.random_start,
-        },
+        attack_config=None if attack is None else attack.as_dict(),
     )
 
 

@@ -4,8 +4,7 @@ Dense layers with a rectifier between them and identity at the output,
 softmax cross-entropy, gradients with respect to both parameters and
 inputs (the latter feed the attack loop), SGD with momentum and weight
 decay, and a piecewise-constant learning-rate schedule.  Everything is
-plain numpy in float64 unless a 32-bit dtype is requested at
-initialization.
+plain numpy in float64.
 """
 
 from __future__ import annotations
@@ -60,10 +59,6 @@ class ModelParams:
     def input_dim(self) -> int:
         return self.layers[0][0].shape[1]
 
-    @property
-    def dtype(self) -> np.dtype:
-        return self.layers[0][0].dtype
-
 
 @dataclass(frozen=True)
 class LabeledBatch:
@@ -111,7 +106,7 @@ class OptimizerState:
             raise ValueError(f"weight decay must be nonnegative, got {self.weight_decay}")
 
 
-def init_model(layer_dims: list[int], seed: int, dtype=np.float64) -> ModelParams:
+def init_model(layer_dims: list[int], seed: int) -> ModelParams:
     """Scaled-uniform fan-in initialization: U(-1/sqrt(fan_in), 1/sqrt(fan_in))."""
     if len(layer_dims) < 2:
         raise ValueError("need at least input and output dimensions")
@@ -119,8 +114,8 @@ def init_model(layer_dims: list[int], seed: int, dtype=np.float64) -> ModelParam
     layers = []
     for fan_in, fan_out in zip(layer_dims[:-1], layer_dims[1:]):
         bound = 1.0 / np.sqrt(fan_in)
-        weight = rng.uniform(-bound, bound, size=(fan_out, fan_in)).astype(dtype)
-        bias = rng.uniform(-bound, bound, size=fan_out).astype(dtype)
+        weight = rng.uniform(-bound, bound, size=(fan_out, fan_in))
+        bias = rng.uniform(-bound, bound, size=fan_out)
         layers.append((weight, bias))
     return ModelParams(layers)
 
@@ -140,7 +135,7 @@ def forward(model: ModelParams, batch: LabeledBatch) -> np.ndarray:
         raise ValueError(
             f"feature dim {batch.features.shape[1]} does not match model input {model.input_dim}"
         )
-    activation = batch.features.astype(model.dtype, copy=False)
+    activation = batch.features
     last = len(model.layers) - 1
     for idx, (weight, bias) in enumerate(model.layers):
         pre = activation @ weight.T + bias
@@ -181,7 +176,7 @@ def backward(
             f"feature dim {batch.features.shape[1]} does not match model input {model.input_dim}"
         )
     # forward pass keeping every layer input and pre-activation
-    activation = batch.features.astype(model.dtype, copy=False)
+    activation = batch.features
     inputs = []
     pre_activations = []
     last = len(model.layers) - 1
@@ -254,7 +249,7 @@ def save_checkpoint(model: ModelParams, path, seed: int, config_hash: str) -> No
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
         "layer_dims": model.layer_dims,
-        "dtype": np.dtype(model.dtype).name,
+        "dtype": "float64",
         "weights": [weight.ravel().tolist() for weight, _ in model.layers],
         "biases": [bias.tolist() for _, bias in model.layers],
         "seed": int(seed),
@@ -273,11 +268,12 @@ def load_checkpoint(path) -> tuple[ModelParams, int, str]:
         raise ValueError(f"not a model checkpoint: format={payload.get('format')!r}")
     if payload.get("version") != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {payload.get('version')!r}")
+    if payload.get("dtype", "float64") != "float64":
+        raise ValueError(f"unsupported checkpoint dtype {payload['dtype']!r}; expected 'float64'")
     dims = payload["layer_dims"]
-    dtype = np.dtype(payload.get("dtype", "float64"))
     layers = []
     for i, (fan_in, fan_out) in enumerate(zip(dims[:-1], dims[1:])):
-        weight = np.asarray(payload["weights"][i], dtype=dtype).reshape(fan_out, fan_in)
-        bias = np.asarray(payload["biases"][i], dtype=dtype)
+        weight = np.asarray(payload["weights"][i], dtype=np.float64).reshape(fan_out, fan_in)
+        bias = np.asarray(payload["biases"][i], dtype=np.float64)
         layers.append((weight, bias))
     return ModelParams(layers), int(payload["seed"]), str(payload["config_hash"])

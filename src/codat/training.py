@@ -1,13 +1,14 @@
-"""Training loops: the class-reweighted DRO trainer and three baselines.
+"""Training: one loop for the class-reweighted DRO trainer and three baselines.
 
-All four methods share one loop: attack the minibatch, compute per-example
-adversarial cross-entropy, reduce it to a scalar batch loss through a
-method-specific class weighting, and backpropagate by distributing each
-class weight over that class's examples.  The DRO trainer weights classes
-by the worst-case distribution of the chi-square ball (closed form from
-dro_core); standard adversarial training uses the plain example mean;
-fixed-class-weighted training uses a static simplex weight vector; and
-worst-class training follows the subgradient of the max class risk.
+All four methods share the loop in `train`: attack the minibatch, compute
+per-example adversarial cross-entropy, reduce it to a scalar batch loss
+through a method-specific class weighting (its `STEP_FNS` entry), and
+backpropagate by distributing each class weight over that class's examples.
+The DRO trainer weights classes by the worst-case distribution of the
+chi-square ball (closed form from dro_core); standard adversarial training
+uses the plain example mean; fixed-class-weighted training uses a static
+simplex weight vector; and worst-class training follows the subgradient of
+the max class risk.
 """
 
 from __future__ import annotations
@@ -175,10 +176,20 @@ def class_avg_loss(
     return ClassRiskVector(risks), present
 
 
-def _effective_eta(eta: float, present_classes: int) -> float:
+def _present_ball(present: np.ndarray, eta: float) -> tuple[np.ndarray, AmbiguityConfig | None]:
+    """Present-class indices and the chi-square ball around uniform over them.
+
+    The radius is clamped below the present-class Dirac bound; a
+    single-class batch has no ball (None) and degenerates to that class.
+    """
+    indices = np.nonzero(present)[0]
+    if indices.size == 0:
+        raise ValueError("batch contains no classes")
+    if indices.size == 1:
+        return indices, None
     # a batch missing classes shrinks the Dirac bound; clamp just below it
-    bound = (present_classes - 1) * (1.0 - 1e-9)
-    return min(eta, bound)
+    eta = min(eta, (indices.size - 1) * (1.0 - 1e-9))
+    return indices, AmbiguityConfig(uniform_distribution(indices.size), eta)
 
 
 def codat_batch_loss(risks: ClassRiskVector, present: np.ndarray, eta: float) -> float:
@@ -187,14 +198,10 @@ def codat_batch_loss(risks: ClassRiskVector, present: np.ndarray, eta: float) ->
     The base distribution is uniform over the classes present in the batch;
     a single-class batch degenerates to that class's risk.
     """
-    indices = np.nonzero(present)[0]
-    if indices.size == 0:
-        raise ValueError("batch contains no classes")
-    if indices.size == 1:
+    indices, cfg = _present_ball(present, eta)
+    if cfg is None:
         return float(risks.risks[indices[0]])
-    sub = ClassRiskVector(risks.risks[indices])
-    cfg = AmbiguityConfig(uniform_distribution(indices.size), _effective_eta(eta, indices.size))
-    return equivalent_objective(sub, cfg)
+    return equivalent_objective(ClassRiskVector(risks.risks[indices]), cfg)
 
 
 def _spread_over_examples(
@@ -204,118 +211,82 @@ def _spread_over_examples(
     return class_row[labels - 1] / counts[labels - 1]
 
 
-def _codat_step(eta: float):
-    def step(adv_losses, labels, num_classes):
-        risks, present = class_avg_loss(adv_losses, labels, num_classes)
-        indices = np.nonzero(present)[0]
-        counts = np.bincount(labels - 1, minlength=num_classes)
-        class_row = np.zeros(num_classes)
-        if indices.size == 1:
-            loss = float(risks.risks[indices[0]])
-            class_row[indices[0]] = 1.0
-            routing = class_row
-            valid = None
-        else:
-            sub = ClassRiskVector(risks.risks[indices])
-            cfg = AmbiguityConfig(
-                uniform_distribution(indices.size), _effective_eta(eta, indices.size)
-            )
-            loss = equivalent_objective(sub, cfg)
-            gradient = equivalent_objective_gradient(sub, cfg)
-            solution = worst_case_distribution(sub, cfg)
-            valid = solution.closed_form_valid
-            # history row: the feasible worst-case distribution; routing row:
-            # the exact objective gradient (they coincide when the closed
-            # form is valid, and only the gradient drives the update)
-            class_row[indices] = solution.distribution.weights
-            routing = np.zeros(num_classes)
-            routing[indices] = gradient
-        example_weights = _spread_over_examples(routing, labels, counts)
-        return loss, example_weights, class_row, valid
-
-    return step
+# Step functions share one signature:
+#   step(config, adv_losses, labels, risks, present, counts)
+#     -> (batch loss, per-example loss weights, class weight row, closed_form_valid)
+# `risks` and `present` come from class_avg_loss and `counts` are the class
+# counts of the batch; `closed_form_valid` is None for every method but codat.
 
 
-def _standard_step(adv_losses, labels, num_classes):
+def _codat_step(config, adv_losses, labels, risks, present, counts):
+    indices, cfg = _present_ball(present, config.eta)
+    class_row = np.zeros(counts.size)
+    if cfg is None:
+        class_row[indices[0]] = 1.0
+        loss = float(risks.risks[indices[0]])
+        return loss, _spread_over_examples(class_row, labels, counts), class_row, None
+    sub = ClassRiskVector(risks.risks[indices])
+    solution = worst_case_distribution(sub, cfg)
+    # history row: the feasible worst-case distribution; routing row: the
+    # exact objective gradient (they coincide when the closed form is valid,
+    # and only the gradient drives the update)
+    class_row[indices] = solution.distribution.weights
+    routing = np.zeros(counts.size)
+    routing[indices] = equivalent_objective_gradient(sub, cfg)
+    example_weights = _spread_over_examples(routing, labels, counts)
+    return equivalent_objective(sub, cfg), example_weights, class_row, solution.closed_form_valid
+
+
+def _standard_step(config, adv_losses, labels, risks, present, counts):
     size = adv_losses.size
-    counts = np.bincount(labels - 1, minlength=num_classes)
-    class_row = counts / size
-    example_weights = np.full(size, 1.0 / size)
-    return float(np.mean(adv_losses)), example_weights, class_row, None
+    return float(np.mean(adv_losses)), np.full(size, 1.0 / size), counts / size, None
 
 
-def _weighted_step(fixed_weights: ProbabilityDistribution):
-    def step(adv_losses, labels, num_classes):
-        if fixed_weights.size != num_classes:
-            raise ValueError(
-                f"fixed weights cover {fixed_weights.size} classes, data has {num_classes}"
-            )
-        risks, present = class_avg_loss(adv_losses, labels, num_classes)
-        counts = np.bincount(labels - 1, minlength=num_classes)
-        masked = np.where(present, fixed_weights.weights, 0.0)
-        mass = float(np.sum(masked))
-        if mass <= 0.0:
-            raise ValueError("fixed weights place no mass on the classes in this batch")
-        class_row = masked / mass
-        loss = float(np.dot(class_row, risks.risks))
-        example_weights = _spread_over_examples(class_row, labels, counts)
-        return loss, example_weights, class_row, None
-
-    return step
+def _weighted_step(config, adv_losses, labels, risks, present, counts):
+    fixed_weights = config.fixed_weights
+    if fixed_weights.size != counts.size:
+        raise ValueError(
+            f"fixed weights cover {fixed_weights.size} classes, data has {counts.size}"
+        )
+    masked = np.where(present, fixed_weights.weights, 0.0)
+    mass = float(np.sum(masked))
+    if mass <= 0.0:
+        raise ValueError("fixed weights place no mass on the classes in this batch")
+    class_row = masked / mass
+    loss = float(np.dot(class_row, risks.risks))
+    return loss, _spread_over_examples(class_row, labels, counts), class_row, None
 
 
-def _worst_class_step(adv_losses, labels, num_classes):
-    risks, present = class_avg_loss(adv_losses, labels, num_classes)
-    counts = np.bincount(labels - 1, minlength=num_classes)
-    masked = np.where(present, risks.risks, -np.inf)
-    worst = int(np.argmax(masked))  # argmax takes the lowest index on ties
-    class_row = np.zeros(num_classes)
+def _riskiest_class(risks: ClassRiskVector, present: np.ndarray) -> int:
+    # argmax takes the lowest index on ties
+    return int(np.argmax(np.where(present, risks.risks, -np.inf)))
+
+
+def _worst_class_step(config, adv_losses, labels, risks, present, counts):
+    worst = _riskiest_class(risks, present)
+    class_row = np.zeros(counts.size)
     class_row[worst] = 1.0
-    example_weights = _spread_over_examples(class_row, labels, counts)
-    return float(risks.risks[worst]), example_weights, class_row, None
+    loss = float(risks.risks[worst])
+    return loss, _spread_over_examples(class_row, labels, counts), class_row, None
 
 
-def config_fingerprint(config: TrainConfig) -> str:
-    """Stable hash of the resolved configuration.
-
-    The DRO method at radius zero is canonicalized to standard adversarial
-    training before hashing, so the two spellings of the same run produce
-    byte-identical checkpoints.
-    """
-    method = config.method
-    eta = config.eta
-    if method == "codat" and eta == 0.0:
-        method = "standard_at"
-    payload = {
-        "method": method,
-        "epochs": config.epochs,
-        "batch_size": config.batch_size,
-        "base_lr": config.base_lr,
-        "momentum": config.momentum,
-        "weight_decay": config.weight_decay,
-        "lr_milestones": list(config.lr_milestones),
-        "lr_factor": config.lr_factor,
-        "attack": {
-            "epsilon": config.attack.epsilon,
-            "step_size": config.attack.step_size,
-            "steps": config.attack.steps,
-            "random_start": config.attack.random_start,
-        },
-        "hidden_dims": list(config.hidden_dims),
-        "seed": config.seed,
-    }
-    if method == "codat":
-        payload["eta"] = eta
-    if config.fixed_weights is not None:
-        payload["fixed_weights"] = config.fixed_weights.weights.tolist()
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+STEP_FNS = {
+    "codat": _codat_step,
+    "standard_at": _standard_step,
+    "weighted": _weighted_step,
+    "worst_class": _worst_class_step,
+}
 
 
-def _history_header(config: TrainConfig, train_data: Dataset) -> dict:
+def _canonical_method(config: TrainConfig) -> str:
+    # the DRO method at radius zero is standard adversarial training
+    if config.method == "codat" and config.eta == 0.0:
+        return "standard_at"
+    return config.method
+
+
+def _config_payload(config: TrainConfig) -> dict:
     return {
-        "format": HISTORY_FORMAT,
-        "version": HISTORY_VERSION,
         "method": config.method,
         "epochs": config.epochs,
         "batch_size": config.batch_size,
@@ -330,19 +301,43 @@ def _history_header(config: TrainConfig, train_data: Dataset) -> dict:
         else config.fixed_weights.weights.tolist(),
         "hidden_dims": list(config.hidden_dims),
         "seed": config.seed,
-        "attack": {
-            "epsilon": config.attack.epsilon,
-            "step_size": config.attack.step_size,
-            "steps": config.attack.steps,
-            "random_start": config.attack.random_start,
-        },
+        "attack": config.attack.as_dict(),
+    }
+
+
+def config_fingerprint(config: TrainConfig) -> str:
+    """Stable hash of the resolved configuration.
+
+    The DRO method at radius zero is canonicalized to standard adversarial
+    training before hashing, so the two spellings of the same run produce
+    byte-identical checkpoints.  Unset (None) fields are left out.
+    """
+    payload = _config_payload(config)
+    if _canonical_method(config) != config.method:
+        payload.update(method="standard_at", eta=None)
+    canonical = json.dumps(
+        {k: v for k, v in payload.items() if v is not None}, sort_keys=True, separators=(",", ":")
+    )
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
+def _history_header(config: TrainConfig, train_data: Dataset) -> dict:
+    return {
+        "format": HISTORY_FORMAT,
+        "version": HISTORY_VERSION,
+        **_config_payload(config),
         "train_size": train_data.size,
         "num_classes": train_data.num_classes,
         "config_fingerprint": config_fingerprint(config),
     }
 
 
-def _run_training(config: TrainConfig, train_data: Dataset, eval_data: Dataset | None, step_fn):
+def train(config: TrainConfig, train_data: Dataset, eval_data: Dataset | None = None):
+    """Train with the class weighting of `config.method`; returns (model, history).
+
+    Every method runs the same loop and differs only in its STEP_FNS entry.
+    The DRO method at radius zero runs the standard trainer's exact path.
+    """
     num_classes = train_data.num_classes
     if num_classes < 2:
         raise ValueError("training needs at least 2 classes")
@@ -350,6 +345,7 @@ def _run_training(config: TrainConfig, train_data: Dataset, eval_data: Dataset |
         raise ValueError(
             f"eta {config.eta} must be < K - 1 = {num_classes - 1} for {num_classes} classes"
         )
+    step_fn = STEP_FNS[_canonical_method(config)]
     model = init_model(
         [train_data.features.shape[1], *config.hidden_dims, num_classes], config.seed
     )
@@ -380,8 +376,10 @@ def _run_training(config: TrainConfig, train_data: Dataset, eval_data: Dataset |
             adv_batch = LabeledBatch(adv_features, batch.labels)
             adv_losses = cross_entropy_per_example(forward(model, adv_batch), batch.labels)
             natural_losses = cross_entropy_per_example(forward(model, batch), batch.labels)
+            risks, present = class_avg_loss(adv_losses, batch.labels, num_classes)
+            counts = np.bincount(batch.labels - 1, minlength=num_classes)
             loss, example_weights, class_row, valid = step_fn(
-                adv_losses, batch.labels, num_classes
+                config, adv_losses, batch.labels, risks, present, counts
             )
             if not np.isfinite(loss):
                 raise RuntimeError(
@@ -396,23 +394,16 @@ def _run_training(config: TrainConfig, train_data: Dataset, eval_data: Dataset |
             risk_sums += np.bincount(
                 batch.labels - 1, weights=adv_losses, minlength=num_classes
             )
-            risk_counts += np.bincount(batch.labels - 1, minlength=num_classes)
+            risk_counts += counts
             weight_rows += class_row
-            batch_risks, present = class_avg_loss(adv_losses, batch.labels, num_classes)
-            masked = np.where(present, batch_risks.risks, -np.inf)
-            if int(np.argmax(masked)) == int(np.argmax(class_row)):
+            if _riskiest_class(risks, present) == int(np.argmax(class_row)):
                 agreement_hits += 1
             if valid is not None:
                 codat_batches += 1
-                if valid:
-                    valid_batches += 1
-                    objective_gap = max(
-                        objective_gap, abs(float(np.dot(class_row, batch_risks.risks)) - loss)
-                    )
-                    gap_batches += 1
-            else:
+                valid_batches += int(valid)
+            if valid is not False:
                 objective_gap = max(
-                    objective_gap, abs(float(np.dot(class_row, batch_risks.risks)) - loss)
+                    objective_gap, abs(float(np.dot(class_row, risks.risks)) - loss)
                 )
                 gap_batches += 1
         per_class_risk = np.where(risk_counts > 0, risk_sums / np.maximum(risk_counts, 1), 0.0)
@@ -440,41 +431,3 @@ def _run_training(config: TrainConfig, train_data: Dataset, eval_data: Dataset |
     if config.select_best and best_snapshot is not None:
         return best_snapshot, history
     return model, history
-
-
-def train_codat(config: TrainConfig, train_data: Dataset, eval_data: Dataset | None = None):
-    """DRO trainer; at radius zero it runs the standard trainer's exact path."""
-    if config.method != "codat":
-        raise ValueError(f"config method is {config.method!r}, expected 'codat'")
-    if config.eta == 0.0:
-        return _run_training(config, train_data, eval_data, _standard_step)
-    return _run_training(config, train_data, eval_data, _codat_step(config.eta))
-
-
-def train_standard_at(config: TrainConfig, train_data: Dataset, eval_data: Dataset | None = None):
-    if config.method != "standard_at":
-        raise ValueError(f"config method is {config.method!r}, expected 'standard_at'")
-    return _run_training(config, train_data, eval_data, _standard_step)
-
-
-def train_weighted(config: TrainConfig, train_data: Dataset, eval_data: Dataset | None = None):
-    if config.method != "weighted":
-        raise ValueError(f"config method is {config.method!r}, expected 'weighted'")
-    return _run_training(config, train_data, eval_data, _weighted_step(config.fixed_weights))
-
-
-def train_worst_class(config: TrainConfig, train_data: Dataset, eval_data: Dataset | None = None):
-    if config.method != "worst_class":
-        raise ValueError(f"config method is {config.method!r}, expected 'worst_class'")
-    return _run_training(config, train_data, eval_data, _worst_class_step)
-
-
-def train(config: TrainConfig, train_data: Dataset, eval_data: Dataset | None = None):
-    """Dispatch on config.method."""
-    dispatch = {
-        "codat": train_codat,
-        "standard_at": train_standard_at,
-        "weighted": train_weighted,
-        "worst_class": train_worst_class,
-    }
-    return dispatch[config.method](config, train_data, eval_data)

@@ -41,6 +41,16 @@ def test_config_allows_zero_radius():
     assert AttackConfig(epsilon=0.0, step_size=0.0, steps=1).epsilon == 0.0
 
 
+def test_config_as_dict_names_all_four_settings():
+    cfg = AttackConfig(epsilon=0.03, step_size=0.0075, steps=10, random_start=False)
+    assert cfg.as_dict() == {
+        "epsilon": 0.03,
+        "step_size": 0.0075,
+        "steps": 10,
+        "random_start": False,
+    }
+
+
 # ------------------------------------------------------------ projection
 
 

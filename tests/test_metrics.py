@@ -19,7 +19,15 @@ from codat.metrics import (
     fec_table_to_csv,
     fec_table_to_json,
 )
-from codat.nn_engine import ModelParams, backward, init_model, init_optimizer, sgd_step
+from codat.nn_engine import (
+    LabeledBatch,
+    ModelParams,
+    backward,
+    forward,
+    init_model,
+    init_optimizer,
+    sgd_step,
+)
 
 
 def perfect_two_class_setup():
@@ -73,6 +81,35 @@ def test_evaluate_is_deterministic_per_seed():
     assert first.to_dict() == second.to_dict()
 
 
+def test_confusion_cells_land_where_predicted_across_a_short_final_batch():
+    # logits equal the one-hot features, so each row's prediction is chosen
+    # by hand; 609 rows make a 512-row batch plus a 97-row final batch
+    wanted = np.array([[150, 3, 7], [11, 160, 2], [5, 21, 250]])
+    true, pred = np.nonzero(wanted)
+    labels = np.repeat(true + 1, wanted[true, pred])
+    predicted = np.repeat(pred, wanted[true, pred])
+    order = np.random.default_rng(8).permutation(labels.size)
+    data = Dataset(np.eye(3)[predicted[order]], labels[order], "test")
+    assert data.size == 609
+    tail = order[512:]
+    assert np.any(labels[tail] - 1 != predicted[tail])  # final batch has misses
+    report = evaluate(ModelParams([(np.eye(3), np.zeros(3))]), data)
+    for t in range(3):
+        for p in range(3):
+            assert report.confusion[t, p] == wanted[t, p], (t, p)
+    assert report.confusion.dtype == np.int64
+    np.testing.assert_array_equal(report.per_class_accuracy, [150 / 160, 160 / 173, 250 / 276])
+    assert report.average_accuracy == 560 / 609
+
+
+def test_evaluate_rejects_predictions_beyond_the_data_classes():
+    # a 3-output model on 2-class data: its third class has no confusion row
+    model = ModelParams([(np.eye(3)[:, :2], np.array([0.0, 0.0, 5.0]))])
+    data = Dataset(np.full((2, 2), 0.5), np.array([1, 2]), "test")
+    with pytest.raises(ValueError, match="predicts class 3"):
+        evaluate(model, data)
+
+
 def lightly_trained_model(data, epochs=5, seed=0):
     model = init_model([2, 16, 3], seed=seed)
     state = init_optimizer(model, learning_rate=0.1)
@@ -106,6 +143,12 @@ def test_report_internal_consistency_on_random_models():
         twopass = float(np.mean([(a - mean) ** 2 for a in report.per_class_accuracy]))
         assert abs(report.class_variance - twopass) <= 1e-12
         assert report.average_accuracy == report.confusion.trace() / data.size
+        # per-example loop as the reference for every confusion cell
+        predictions = np.argmax(forward(model, LabeledBatch(data.features, data.labels)), axis=1)
+        reference = np.zeros((3, 3), dtype=np.int64)
+        for true, pred in zip(data.labels, predictions):
+            reference[true - 1, pred] += 1
+        np.testing.assert_array_equal(report.confusion, reference)
 
 
 def test_report_round_trips_through_json(tmp_path):

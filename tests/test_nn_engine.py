@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -318,4 +319,15 @@ def test_checkpoint_rejects_foreign_files(tmp_path):
     path = tmp_path / "other.json"
     path.write_text('{"format": "something-else"}')
     with pytest.raises(ValueError, match="format"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_rejects_non_float64_dtype(tmp_path):
+    path = tmp_path / "model.json"
+    save_checkpoint(init_model([2, 2], seed=0), path, seed=0, config_hash="h")
+    payload = json.loads(path.read_text())
+    assert payload["dtype"] == "float64"
+    payload["dtype"] = "float32"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match="dtype"):
         load_checkpoint(path)
