@@ -48,80 +48,62 @@ from .training import VALID_METHODS, TrainConfig, config_fingerprint, train
 
 OUT_ROOT_ENV = "CODAT_OUT_ROOT"
 
-_INT_KEYS = {
-    "epochs",
-    "batch_size",
-    "seed",
-    "attack_steps",
-    "eval_attack_steps",
-    "train_per_class",
-    "test_per_class",
-}
-_FLOAT_KEYS = {
-    "base_lr",
-    "momentum",
-    "weight_decay",
-    "lr_factor",
-    "eta",
-    "epsilon",
-    "attack_step_size",
-    "eval_attack_step_size",
-    "spread",
-}
-_BOOL_KEYS = {"random_start", "select_best"}
-_INT_LIST_KEYS = {"lr_milestones", "hidden_dims"}
-_FLOAT_LIST_KEYS = {"fixed_weights"}
-_STR_KEYS = {
-    "method",
-    "preset",
-    "train_csv",
-    "test_csv",
-    "train_images",
-    "train_labels",
-    "test_images",
-    "test_labels",
-    "out_root",
-    "run_name",
-}
-_ALL_KEYS = (
-    _INT_KEYS | _FLOAT_KEYS | _BOOL_KEYS | _INT_LIST_KEYS | _FLOAT_LIST_KEYS | _STR_KEYS
-)
 
-# documented defaults follow the published training recipe; the desk-scale
-# preset overrides them with values that finish in minutes
-DEFAULTS = {
-    "method": "codat",
-    "preset": "none",
-    "epochs": 100,
-    "batch_size": 128,
-    "base_lr": 0.1,
-    "momentum": 0.9,
-    "weight_decay": 2e-4,
-    "lr_milestones": (75, 90),
-    "lr_factor": 0.1,
-    "eta": 0.5,
-    "fixed_weights": None,
-    "seed": 0,
-    "hidden_dims": (256, 256),
-    "epsilon": 8.0 / 255.0,
-    "attack_step_size": 2.0 / 255.0,
-    "attack_steps": 10,
-    "random_start": True,
-    "eval_attack_steps": 100,
-    "eval_attack_step_size": 1.0 / 255.0,
-    "train_per_class": 500,
-    "test_per_class": 200,
-    "spread": 1.0,
-    "train_csv": None,
-    "test_csv": None,
-    "train_images": None,
-    "train_labels": None,
-    "test_images": None,
-    "test_labels": None,
-    "out_root": None,
-    "run_name": None,
-    "select_best": False,
+def _int_list(text: str) -> tuple[int, ...]:
+    return tuple(int(p) for p in text.split(",") if p.strip())
+
+
+def _float_list(text: str) -> tuple[float, ...]:
+    return tuple(float(p) for p in text.split(",") if p.strip())
+
+
+def _parse_bool(text: str) -> bool:
+    lowered = text.lower()
+    if lowered in ("true", "1", "yes"):
+        return True
+    if lowered in ("false", "0", "no"):
+        return False
+    raise ValueError(f"expected a boolean, got {text!r}")
+
+
+# every configuration key, declared once: key -> (parser, default).  The
+# command-line flag is --<key with dashes> (base_lr is --lr).  Documented
+# defaults follow the published training recipe; the desk-scale preset
+# overrides them with values that finish in minutes
+_KEYS = {
+    "method": (str, "codat"),
+    "preset": (str, "none"),
+    "epochs": (int, 100),
+    "batch_size": (int, 128),
+    "base_lr": (float, 0.1),
+    "momentum": (float, 0.9),
+    "weight_decay": (float, 2e-4),
+    "lr_milestones": (_int_list, (75, 90)),
+    "lr_factor": (float, 0.1),
+    "eta": (float, 0.5),
+    "fixed_weights": (_float_list, None),
+    "seed": (int, 0),
+    "hidden_dims": (_int_list, (256, 256)),
+    "epsilon": (float, 8.0 / 255.0),
+    "attack_step_size": (float, 2.0 / 255.0),
+    "attack_steps": (int, 10),
+    "random_start": (_parse_bool, True),
+    "eval_attack_steps": (int, 100),
+    "eval_attack_step_size": (float, 1.0 / 255.0),
+    "train_per_class": (int, 500),
+    "test_per_class": (int, 200),
+    "spread": (float, 1.0),
+    "train_csv": (str, None),
+    "test_csv": (str, None),
+    "train_images": (str, None),
+    "train_labels": (str, None),
+    "test_images": (str, None),
+    "test_labels": (str, None),
+    "out_root": (str, None),
+    "run_name": (str, None),
+    "select_best": (_parse_bool, False),
 }
+DEFAULTS = {key: default for key, (_, default) in _KEYS.items()}
 
 PRESETS = {
     "none": {},
@@ -165,35 +147,18 @@ class CliError(ValueError):
     """Configuration or usage problem; maps to exit status 2."""
 
 
-def _parse_bool(text: str, key: str) -> bool:
-    lowered = text.strip().lower()
-    if lowered in ("true", "1", "yes"):
-        return True
-    if lowered in ("false", "0", "no"):
-        return False
-    raise CliError(f"{key}: expected a boolean, got {text!r}")
-
-
 def _parse_value(key: str, text) -> object:
     if not isinstance(text, str):
         return text
     stripped = text.strip()
-    if stripped.lower() == "none":
+    parse, default = _KEYS[key]
+    # only a key that is unset by default can be set back to unset
+    if default is None and stripped.lower() == "none":
         return None
     try:
-        if key in _INT_KEYS:
-            return int(stripped)
-        if key in _FLOAT_KEYS:
-            return float(stripped)
-        if key in _BOOL_KEYS:
-            return _parse_bool(stripped, key)
-        if key in _INT_LIST_KEYS:
-            return tuple(int(p) for p in stripped.split(",") if p.strip()) if stripped else ()
-        if key in _FLOAT_LIST_KEYS:
-            return tuple(float(p) for p in stripped.split(",") if p.strip())
+        return parse(stripped)
     except ValueError as exc:
         raise CliError(f"{key}: {exc}") from None
-    return stripped
 
 
 def parse_config_file(path) -> dict:
@@ -208,7 +173,7 @@ def parse_config_file(path) -> dict:
                 raise CliError(f"{path}:{lineno}: expected 'key = value', got {raw.strip()!r}")
             key, _, value = line.partition("=")
             key = key.strip()
-            if key not in _ALL_KEYS:
+            if key not in _KEYS:
                 raise CliError(f"{path}:{lineno}: unknown configuration key {key!r}")
             values[key] = _parse_value(key, value)
     return values
@@ -227,7 +192,7 @@ def resolve_config(args: argparse.Namespace) -> dict:
     resolved["preset"] = preset
     resolved.update(PRESETS[preset])
     resolved.update(file_values)
-    for key in _ALL_KEYS:
+    for key in _KEYS:
         flag_value = getattr(args, key, None)
         if flag_value is not None:
             resolved[key] = _parse_value(key, flag_value)
@@ -327,15 +292,19 @@ def _eval_dataset(resolved: dict) -> Dataset:
     raise CliError("no dataset configured: pick --preset toy3 or give CSV/IDX paths")
 
 
+def _attack(resolved: dict, prefix: str) -> AttackConfig:
+    """The training attack (prefix "") or the evaluation attack (prefix "eval_")."""
+    return AttackConfig(
+        epsilon=resolved["epsilon"],
+        step_size=resolved[f"{prefix}attack_step_size"],
+        steps=resolved[f"{prefix}attack_steps"],
+        random_start=resolved["random_start"],
+    )
+
+
 def build_train_config(resolved: dict) -> TrainConfig:
     fixed = resolved.get("fixed_weights")
     weights = None if fixed is None else ProbabilityDistribution(np.asarray(fixed, dtype=np.float64))
-    attack = AttackConfig(
-        epsilon=resolved["epsilon"],
-        step_size=resolved["attack_step_size"],
-        steps=resolved["attack_steps"],
-        random_start=resolved["random_start"],
-    )
     return TrainConfig(
         method=resolved["method"],
         epochs=resolved["epochs"],
@@ -345,21 +314,12 @@ def build_train_config(resolved: dict) -> TrainConfig:
         weight_decay=resolved["weight_decay"],
         lr_milestones=tuple(resolved["lr_milestones"]),
         lr_factor=resolved["lr_factor"],
-        attack=attack,
+        attack=_attack(resolved, ""),
         eta=resolved["eta"],
         fixed_weights=weights,
         seed=resolved["seed"],
         hidden_dims=tuple(resolved["hidden_dims"]),
         select_best=resolved["select_best"],
-    )
-
-
-def _eval_attack(resolved: dict) -> AttackConfig:
-    return AttackConfig(
-        epsilon=resolved["epsilon"],
-        step_size=resolved["eval_attack_step_size"],
-        steps=resolved["eval_attack_steps"],
-        random_start=resolved["random_start"],
     )
 
 
@@ -389,6 +349,14 @@ def _checkpoint_and_data(args: argparse.Namespace, resolved: dict):
     return model, data
 
 
+def _save_run(out_dir: Path, resolved: dict, config: TrainConfig, model) -> Path:
+    """Write the run's config.txt and checkpoint.json; returns the checkpoint path."""
+    (out_dir / "config.txt").write_text(format_config(resolved), encoding="utf-8")
+    checkpoint_path = out_dir / "checkpoint.json"
+    save_checkpoint(model, checkpoint_path, seed=config.seed, config_hash=config_fingerprint(config))
+    return checkpoint_path
+
+
 def _summary_line(tag: str, report: EvalReport) -> str:
     return (
         f"{tag}: avg={report.average_accuracy:.4f} "
@@ -398,9 +366,6 @@ def _summary_line(tag: str, report: EvalReport) -> str:
 
 def cmd_train(args: argparse.Namespace) -> int:
     resolved = resolve_config(args)
-    if args.print_config:
-        sys.stdout.write(format_config(resolved))
-        return 0
     train_data, test_data = _dataset_pair(resolved)
     config = build_train_config(resolved)
     out_dir = run_directory(resolved)
@@ -408,13 +373,11 @@ def cmd_train(args: argparse.Namespace) -> int:
 
     model, history = train(config, train_data, test_data)
 
-    (out_dir / "config.txt").write_text(format_config(resolved), encoding="utf-8")
-    checkpoint_path = out_dir / "checkpoint.json"
-    save_checkpoint(model, checkpoint_path, seed=config.seed, config_hash=config_fingerprint(config))
+    checkpoint_path = _save_run(out_dir, resolved, config, model)
     history.save_jsonl(out_dir / "history.jsonl")
 
     natural = evaluate(model, test_data, attack=None, seed=config.seed)
-    adversarial = evaluate(model, test_data, attack=_eval_attack(resolved), seed=config.seed)
+    adversarial = evaluate(model, test_data, attack=_attack(resolved, "eval_"), seed=config.seed)
     _write_report(natural, resolved, out_dir / "eval_natural.json")
     _write_report(adversarial, resolved, out_dir / "eval_adversarial.json")
     confusion_to_csv(natural, out_dir / "confusion_natural.csv")
@@ -432,11 +395,8 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     resolved = resolve_config(args)
-    if args.print_config:
-        sys.stdout.write(format_config(resolved))
-        return 0
     model, data = _checkpoint_and_data(args, resolved)
-    attack = None if args.attack == "none" else _eval_attack(resolved)
+    attack = None if args.attack == "none" else _attack(resolved, "eval_")
     report = evaluate(model, data, attack=attack, seed=resolved["seed"])
     out_dir = Path(args.out) if args.out else Path(args.checkpoint).parent
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -452,11 +412,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 def cmd_attack(args: argparse.Namespace) -> int:
     resolved = resolve_config(args)
-    if args.print_config:
-        sys.stdout.write(format_config(resolved))
-        return 0
     model, data = _checkpoint_and_data(args, resolved)
-    attack = _eval_attack(resolved)
+    attack = _attack(resolved, "eval_")
     adv_rows = []
     nat_correct = 0
     adv_correct = 0
@@ -596,9 +553,6 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     resolved = resolve_config(args)
-    if args.print_config:
-        sys.stdout.write(format_config(resolved))
-        return 0
     try:
         etas = [float(p) for p in args.etas.split(",") if p.strip()]
     except ValueError as exc:
@@ -621,18 +575,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         try:
             config = build_train_config(run_conf)
             model, _ = train(config, train_data, test_data)
-            report = evaluate(model, test_data, attack=_eval_attack(run_conf), seed=config.seed)
+            report = evaluate(model, test_data, attack=_attack(run_conf, "eval_"), seed=config.seed)
         except (ValueError, RuntimeError) as exc:
             raise CliError(f"sweep failed at eta={eta:g}: {exc}") from None
         out_dir = run_directory(run_conf)
         out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / "config.txt").write_text(format_config(run_conf), encoding="utf-8")
-        save_checkpoint(
-            model,
-            out_dir / "checkpoint.json",
-            seed=config.seed,
-            config_hash=config_fingerprint(config),
-        )
+        _save_run(out_dir, run_conf, config, model)
         _write_report(report, run_conf, out_dir / "eval_adversarial.json")
         elapsed = time.perf_counter() - started
         rows.append((eta, report.average_accuracy, report.worst_class_accuracy, elapsed))
@@ -650,44 +598,27 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
+_HELP = {
+    "preset": "named configuration preset",
+    "lr_milestones": "comma-separated epochs",
+    "fixed_weights": "comma-separated simplex weights",
+    "hidden_dims": "comma-separated layer widths",
+}
+
+
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="flat key = value configuration file")
-    parser.add_argument("--preset", choices=sorted(PRESETS), help="named configuration preset")
     parser.add_argument("--print-config", action="store_true", help="echo resolved config and exit")
-    parser.add_argument("--method", choices=VALID_METHODS)
-    parser.add_argument("--epochs", type=int, dest="epochs")
-    parser.add_argument("--batch-size", type=int, dest="batch_size")
-    parser.add_argument("--lr", type=float, dest="base_lr")
-    parser.add_argument("--momentum", type=float)
-    parser.add_argument("--weight-decay", type=float, dest="weight_decay")
-    parser.add_argument("--lr-milestones", dest="lr_milestones", help="comma-separated epochs")
-    parser.add_argument("--lr-factor", type=float, dest="lr_factor")
-    parser.add_argument("--eta", type=float)
-    parser.add_argument("--fixed-weights", dest="fixed_weights", help="comma-separated simplex weights")
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--hidden-dims", dest="hidden_dims", help="comma-separated layer widths")
-    parser.add_argument("--epsilon", type=float)
-    parser.add_argument("--attack-step-size", type=float, dest="attack_step_size")
-    parser.add_argument("--attack-steps", type=int, dest="attack_steps")
-    parser.add_argument(
-        "--random-start", action=argparse.BooleanOptionalAction, dest="random_start", default=None
-    )
-    parser.add_argument("--eval-attack-steps", type=int, dest="eval_attack_steps")
-    parser.add_argument("--eval-attack-step-size", type=float, dest="eval_attack_step_size")
-    parser.add_argument("--train-per-class", type=int, dest="train_per_class")
-    parser.add_argument("--test-per-class", type=int, dest="test_per_class")
-    parser.add_argument("--spread", type=float)
-    parser.add_argument("--train-csv", dest="train_csv")
-    parser.add_argument("--test-csv", dest="test_csv")
-    parser.add_argument("--train-images", dest="train_images")
-    parser.add_argument("--train-labels", dest="train_labels")
-    parser.add_argument("--test-images", dest="test_images")
-    parser.add_argument("--test-labels", dest="test_labels")
-    parser.add_argument("--out-root", dest="out_root")
-    parser.add_argument("--run-name", dest="run_name")
-    parser.add_argument(
-        "--select-best", action=argparse.BooleanOptionalAction, dest="select_best", default=None
-    )
+    choices = {"method": VALID_METHODS, "preset": sorted(PRESETS)}
+    for key, (parse, _) in _KEYS.items():
+        flag = "--lr" if key == "base_lr" else "--" + key.replace("_", "-")
+        if parse is _parse_bool:
+            kwargs = {"action": argparse.BooleanOptionalAction, "default": None}
+        elif parse in (int, float):
+            kwargs = {"type": parse}
+        else:
+            kwargs = {"choices": choices.get(key)}
+        parser.add_argument(flag, dest=key, help=_HELP.get(key), **kwargs)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -744,6 +675,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "print_config", False):
+            sys.stdout.write(format_config(resolve_config(args)))
+            return 0
         return args.func(args)
     except (ValueError, OSError) as exc:  # CliError is a ValueError
         print(f"error: {exc}", file=sys.stderr)

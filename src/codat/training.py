@@ -243,12 +243,7 @@ def _standard_step(config, adv_losses, labels, risks, present, counts):
 
 
 def _weighted_step(config, adv_losses, labels, risks, present, counts):
-    fixed_weights = config.fixed_weights
-    if fixed_weights.size != counts.size:
-        raise ValueError(
-            f"fixed weights cover {fixed_weights.size} classes, data has {counts.size}"
-        )
-    masked = np.where(present, fixed_weights.weights, 0.0)
+    masked = np.where(present, config.fixed_weights.weights, 0.0)
     mass = float(np.sum(masked))
     if mass <= 0.0:
         raise ValueError("fixed weights place no mass on the classes in this batch")
@@ -344,6 +339,10 @@ def train(config: TrainConfig, train_data: Dataset, eval_data: Dataset | None = 
     if config.method == "codat" and config.eta >= num_classes - 1:
         raise ValueError(
             f"eta {config.eta} must be < K - 1 = {num_classes - 1} for {num_classes} classes"
+        )
+    if config.fixed_weights is not None and config.fixed_weights.size != num_classes:
+        raise ValueError(
+            f"fixed weights cover {config.fixed_weights.size} classes, data has {num_classes}"
         )
     step_fn = STEP_FNS[_canonical_method(config)]
     model = init_model(

@@ -11,6 +11,8 @@ from codat.cli import (
     DEFAULTS,
     OUT_ROOT_ENV,
     PRESETS,
+    build_parser,
+    format_config,
     main,
     parse_config_file,
     resolve_config,
@@ -86,6 +88,37 @@ class TestConfigResolution:
         assert values["batch_size"] == "64"
         assert values["preset"] == "toy3"
         assert set(values) == set(DEFAULTS)
+
+    def test_none_only_unsets_keys_that_default_to_unset(self, tmp_path, capsys):
+        config = tmp_path / "none.conf"
+        config.write_text("run_name = none\nfixed_weights = None\n", encoding="utf-8")
+        assert parse_config_file(config) == {"run_name": None, "fixed_weights": None}
+        config.write_text("select_best = none\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="select_best: expected a boolean"):
+            parse_config_file(config)
+        rc = main(["train", "--preset", "toy3", "--hidden-dims", "none", "--print-config"])
+        assert rc == 2
+        assert "hidden_dims" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            [],
+            ["--preset", "toy3", "--method", "weighted", "--lr", "0.05",
+             "--lr-milestones", "3,5", "--hidden-dims", "16,8",
+             "--fixed-weights", "0.2,0.5,0.3", "--no-random-start", "--select-best"],
+            ["--preset", "paper-cifar", "--hidden-dims", ""],
+        ],
+    )
+    def test_config_file_round_trips(self, tmp_path, flags):
+        parser = build_parser()
+        resolved = resolve_config(parser.parse_args(["train", *flags]))
+        text = format_config(resolved)
+        config = tmp_path / "config.txt"
+        config.write_text(text, encoding="utf-8")
+        reread = resolve_config(parser.parse_args(["train", "--config", str(config)]))
+        assert reread == resolved
+        assert format_config(reread) == text
 
     def test_preset_catalog_is_documented(self):
         assert set(PRESETS) == {"none", "toy3", "paper-cifar"}

@@ -305,6 +305,15 @@ class TestTrainingLoop:
         with pytest.raises(ValueError, match="K - 1"):
             train(make_config("codat", eta=2.0), data)
 
+    def test_wrong_length_fixed_weights_rejected_before_any_attack(self, monkeypatch):
+        def no_attack(*args, **kwargs):
+            raise AssertionError("attack ran before the fixed weights were checked")
+
+        monkeypatch.setattr("codat.training.pgd_attack", no_attack)
+        halves = ProbabilityDistribution(np.array([0.5, 0.5]))
+        with pytest.raises(ValueError, match="fixed weights cover 2 classes, data has 3"):
+            train(make_config("weighted", fixed_weights=halves), small_dataset())
+
     def test_divergence_raises_runtime_error(self):
         data = small_dataset()
         cfg = make_config("standard_at", base_lr=1e9, epochs=4, batch_size=16)
