@@ -236,60 +236,40 @@ def run_directory(resolved: dict) -> Path:
     return _out_root(resolved) / name
 
 
-def _dataset_pair(resolved: dict) -> tuple[Dataset, Dataset]:
-    idx_keys = ("train_images", "train_labels", "test_images", "test_labels")
-    given_idx = [k for k in idx_keys if resolved.get(k)]
-    if given_idx:
-        missing = [k for k in idx_keys if not resolved.get(k)]
-        if missing:
-            raise CliError(f"IDX input needs all four paths; missing {missing}")
-        train_data = load_idx(resolved["train_images"], resolved["train_labels"], split="train")
-        test_data = load_idx(resolved["test_images"], resolved["test_labels"], split="test")
-        return train_data, test_data
-    if resolved.get("train_csv") or resolved.get("test_csv"):
-        if not (resolved.get("train_csv") and resolved.get("test_csv")):
-            raise CliError("CSV input needs both train_csv and test_csv")
-        train_data = load_csv(resolved["train_csv"], split="train")
-        test_data = load_csv(
-            resolved["test_csv"], num_classes=train_data.num_classes, split="test"
-        )
-        return train_data, test_data
-    if resolved["preset"] == "toy3":
-        seed = resolved["seed"]
-        train_data = gen_gaussian_mixture(
-            toy3_spec(resolved["train_per_class"], seed=seed, spread=resolved["spread"]),
-            split="train",
-        )
-        test_data = gen_gaussian_mixture(
-            toy3_spec(resolved["test_per_class"], seed=seed + 10000, spread=resolved["spread"]),
-            split="test",
-        )
-        return train_data, test_data
-    if resolved["preset"] == "paper-cifar":
+def _configured(resolved: dict, keys: list[str], source: str) -> bool:
+    """Whether all of a data source's keys are set; some but not all is an error."""
+    missing = [key for key in keys if not resolved.get(key)]
+    if missing and len(missing) < len(keys):
+        raise CliError(f"{source} input needs {', '.join(keys)}; missing {', '.join(missing)}")
+    return not missing
+
+
+def _datasets(resolved: dict, splits=("train", "test")) -> list[Dataset]:
+    """The requested splits, all from one source: IDX, else CSV, else toy3."""
+    idx_keys = [f"{split}_{part}" for split in splits for part in ("images", "labels")]
+    csv_keys = [f"{split}_csv" for split in splits]
+    datasets = []
+    if _configured(resolved, idx_keys, "IDX"):
+        for split in splits:
+            images, labels = resolved[f"{split}_images"], resolved[f"{split}_labels"]
+            datasets.append(load_idx(images, labels, split=split))
+    elif _configured(resolved, csv_keys, "CSV"):
+        for split in splits:
+            # test labels are checked against the train split's class count
+            classes = datasets[0].num_classes if datasets else None
+            datasets.append(load_csv(resolved[f"{split}_csv"], num_classes=classes, split=split))
+    elif resolved["preset"] == "toy3":
+        for split in splits:
+            seed = resolved["seed"] + (10000 if split == "test" else 0)
+            spec = toy3_spec(resolved[f"{split}_per_class"], seed=seed, spread=resolved["spread"])
+            datasets.append(gen_gaussian_mixture(spec, split=split))
+    elif resolved["preset"] == "paper-cifar":
         raise CliError(
             "preset paper-cifar documents the published recipe; supply IDX or CSV data to run"
         )
-    raise CliError("no dataset configured: pick --preset toy3 or give CSV/IDX paths")
-
-
-def _eval_dataset(resolved: dict) -> Dataset:
-    idx_keys = ("test_images", "test_labels")
-    if any(resolved.get(k) for k in idx_keys):
-        if not all(resolved.get(k) for k in idx_keys):
-            raise CliError("IDX input needs both test_images and test_labels")
-        return load_idx(resolved["test_images"], resolved["test_labels"], split="test")
-    if resolved.get("test_csv"):
-        return load_csv(resolved["test_csv"], split="test")
-    if resolved["preset"] == "toy3":
-        return gen_gaussian_mixture(
-            toy3_spec(
-                resolved["test_per_class"],
-                seed=resolved["seed"] + 10000,
-                spread=resolved["spread"],
-            ),
-            split="test",
-        )
-    raise CliError("no dataset configured: pick --preset toy3 or give CSV/IDX paths")
+    else:
+        raise CliError("no dataset configured: pick --preset toy3 or give CSV/IDX paths")
+    return datasets
 
 
 def _attack(resolved: dict, prefix: str) -> AttackConfig:
@@ -323,12 +303,16 @@ def build_train_config(resolved: dict) -> TrainConfig:
     )
 
 
-def _write_report(report: EvalReport, resolved: dict, path: Path) -> None:
+def _write_eval(report: EvalReport, resolved: dict, out_dir: Path, tag: str) -> None:
+    """Write eval_<tag>.json and confusion_<tag>.csv, then reload the report."""
     payload = report.to_dict()
     payload["resolved_config"] = {k: _format_value(v) for k, v in sorted(resolved.items())}
-    with open(path, "w", encoding="utf-8") as fh:
+    report_path = out_dir / f"eval_{tag}.json"
+    with open(report_path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, sort_keys=True, indent=2)
         fh.write("\n")
+    confusion_to_csv(report, out_dir / f"confusion_{tag}.csv")
+    EvalReport.load(report_path)
 
 
 def _checkpoint_and_data(args: argparse.Namespace, resolved: dict):
@@ -336,7 +320,7 @@ def _checkpoint_and_data(args: argparse.Namespace, resolved: dict):
     if not Path(args.checkpoint).exists():
         raise CliError(f"checkpoint not found: {args.checkpoint}")
     model, _, _ = load_checkpoint(args.checkpoint)
-    data = _eval_dataset(resolved)
+    (data,) = _datasets(resolved, ("test",))
     expected = model.input_dim
     if data.features.shape[1] != expected:
         raise CliError(
@@ -349,12 +333,26 @@ def _checkpoint_and_data(args: argparse.Namespace, resolved: dict):
     return model, data
 
 
-def _save_run(out_dir: Path, resolved: dict, config: TrainConfig, model) -> Path:
-    """Write the run's config.txt and checkpoint.json; returns the checkpoint path."""
+def _train_run(resolved: dict, train_data: Dataset, test_data: Dataset):
+    """Train one configuration and write its run directory; returns it and both reports.
+
+    The directory is created only once training has succeeded, and every
+    artifact is written and reloaded before this returns.
+    """
+    config = build_train_config(resolved)
+    model, history = train(config, train_data, test_data)
+    out_dir = run_directory(resolved)
+    out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "config.txt").write_text(format_config(resolved), encoding="utf-8")
     checkpoint_path = out_dir / "checkpoint.json"
     save_checkpoint(model, checkpoint_path, seed=config.seed, config_hash=config_fingerprint(config))
-    return checkpoint_path
+    history.save_jsonl(out_dir / "history.jsonl")
+    natural = evaluate(model, test_data, attack=None, seed=config.seed)
+    adversarial = evaluate(model, test_data, attack=_attack(resolved, "eval_"), seed=config.seed)
+    _write_eval(natural, resolved, out_dir, "natural")
+    _write_eval(adversarial, resolved, out_dir, "adversarial")
+    load_checkpoint(checkpoint_path)
+    return out_dir, natural, adversarial
 
 
 def _summary_line(tag: str, report: EvalReport) -> str:
@@ -366,27 +364,7 @@ def _summary_line(tag: str, report: EvalReport) -> str:
 
 def cmd_train(args: argparse.Namespace) -> int:
     resolved = resolve_config(args)
-    train_data, test_data = _dataset_pair(resolved)
-    config = build_train_config(resolved)
-    out_dir = run_directory(resolved)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
-    model, history = train(config, train_data, test_data)
-
-    checkpoint_path = _save_run(out_dir, resolved, config, model)
-    history.save_jsonl(out_dir / "history.jsonl")
-
-    natural = evaluate(model, test_data, attack=None, seed=config.seed)
-    adversarial = evaluate(model, test_data, attack=_attack(resolved, "eval_"), seed=config.seed)
-    _write_report(natural, resolved, out_dir / "eval_natural.json")
-    _write_report(adversarial, resolved, out_dir / "eval_adversarial.json")
-    confusion_to_csv(natural, out_dir / "confusion_natural.csv")
-    confusion_to_csv(adversarial, out_dir / "confusion_adversarial.csv")
-
-    # validate artifacts before reporting success
-    load_checkpoint(checkpoint_path)
-    EvalReport.load(out_dir / "eval_natural.json")
-    EvalReport.load(out_dir / "eval_adversarial.json")
+    out_dir, natural, adversarial = _train_run(resolved, *_datasets(resolved))
     print(f"run directory: {out_dir}")
     print(_summary_line("natural", natural))
     print(_summary_line("adversarial", adversarial))
@@ -401,10 +379,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     out_dir = Path(args.out) if args.out else Path(args.checkpoint).parent
     out_dir.mkdir(parents=True, exist_ok=True)
     tag = "natural" if attack is None else "adversarial"
-    report_path = out_dir / f"eval_{tag}.json"
-    _write_report(report, resolved, report_path)
-    confusion_to_csv(report, out_dir / f"confusion_{tag}.csv")
-    EvalReport.load(report_path)
+    _write_eval(report, resolved, out_dir, tag)
     print(f"attack: {report.attack}")
     print(_summary_line(tag, report))
     return 0
@@ -553,8 +528,10 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     resolved = resolve_config(args)
+    if resolved["run_name"]:
+        raise CliError("sweep names one run directory per radius; run_name must be unset")
     try:
-        etas = [float(p) for p in args.etas.split(",") if p.strip()]
+        etas = _float_list(args.etas)
     except ValueError as exc:
         raise CliError(f"--etas: {exc}") from None
     if not etas:
@@ -562,32 +539,22 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if len(set(etas)) != len(etas):
         raise CliError(f"duplicate eta values in {etas}")
     resolved["method"] = "codat"
-    train_data, test_data = _dataset_pair(resolved)
-    sweep_dir = _out_root(resolved) / (
-        f"sweep_{resolved['preset']}_seed{resolved['seed']}"
-    )
-    sweep_dir.mkdir(parents=True, exist_ok=True)
+    train_data, test_data = _datasets(resolved)
     rows = []
     started = time.perf_counter()
     for eta in etas:
-        run_conf = dict(resolved)
-        run_conf["eta"] = eta
         try:
-            config = build_train_config(run_conf)
-            model, _ = train(config, train_data, test_data)
-            report = evaluate(model, test_data, attack=_attack(run_conf, "eval_"), seed=config.seed)
+            _, _, report = _train_run({**resolved, "eta": eta}, train_data, test_data)
         except (ValueError, RuntimeError) as exc:
             raise CliError(f"sweep failed at eta={eta:g}: {exc}") from None
-        out_dir = run_directory(run_conf)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        _save_run(out_dir, run_conf, config, model)
-        _write_report(report, run_conf, out_dir / "eval_adversarial.json")
         elapsed = time.perf_counter() - started
         rows.append((eta, report.average_accuracy, report.worst_class_accuracy, elapsed))
         print(
             f"eta={eta:g}: avg={report.average_accuracy:.4f} "
             f"worst={report.worst_class_accuracy:.4f} ({elapsed:.1f}s elapsed)"
         )
+    sweep_dir = _out_root(resolved) / f"sweep_{resolved['preset']}_seed{resolved['seed']}"
+    sweep_dir.mkdir(parents=True, exist_ok=True)
     csv_path = sweep_dir / "sweep.csv"
     with open(csv_path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)

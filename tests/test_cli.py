@@ -2,6 +2,8 @@
 
 import csv
 import json
+import re
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -38,6 +40,26 @@ SMALL = [
     "--attack-steps", "3",
     "--eval-attack-steps", "5",
 ]
+
+
+RUN_ARTIFACTS = (
+    "config.txt",
+    "checkpoint.json",
+    "history.jsonl",
+    "eval_natural.json",
+    "eval_adversarial.json",
+    "confusion_natural.csv",
+    "confusion_adversarial.csv",
+)
+
+
+def run_artifacts(run_dir):
+    """Every run artifact's bytes, with the history's wall times blanked."""
+    artifacts = {name: (run_dir / name).read_bytes() for name in RUN_ARTIFACTS}
+    artifacts["history.jsonl"] = re.sub(
+        rb'"wall_time": [^,}]+', b'"wall_time": 0', artifacts["history.jsonl"]
+    )
+    return artifacts
 
 
 def run_train(out_root, *extra, size=TINY):
@@ -132,15 +154,7 @@ class TestConfigResolution:
 
 class TestTrainCommand:
     def test_artifacts_and_history_length(self, trained_run):
-        for name in (
-            "checkpoint.json",
-            "history.jsonl",
-            "config.txt",
-            "eval_natural.json",
-            "eval_adversarial.json",
-            "confusion_natural.csv",
-            "confusion_adversarial.csv",
-        ):
+        for name in RUN_ARTIFACTS:
             assert (trained_run / name).exists(), name
         lines = (trained_run / "history.jsonl").read_text().strip().splitlines()
         header = json.loads(lines[0])
@@ -154,6 +168,10 @@ class TestTrainCommand:
         rc = run_train(tmp_path, "--method", "codat", "--eta", "9.5")
         assert rc == 2
         assert "K - 1" in capsys.readouterr().err
+
+    def test_failed_run_leaves_no_run_directory(self, tmp_path):
+        assert run_train(tmp_path, "--method", "codat", "--eta", "9.5") == 2
+        assert list(tmp_path.iterdir()) == []
 
     def test_zero_radius_checkpoint_matches_standard(self, tmp_path):
         assert run_train(tmp_path, "--method", "codat", "--eta", "0") == 0
@@ -187,6 +205,43 @@ class TestTrainCommand:
         )
         assert rc == 0
         assert (tmp_path / "runs" / "standard_at_none_eta0.5_seed1" / "checkpoint.json").exists()
+
+
+class TestDatasets:
+    def test_half_configured_csv_names_the_missing_split(self, tmp_path, capsys):
+        train = gen_gaussian_mixture(toy3_spec(samples_per_class=10, seed=2), split="train")
+        save_csv(train, tmp_path / "train.csv")
+        rc = main(["train", "--train-csv", str(tmp_path / "train.csv"),
+                   "--out-root", str(tmp_path / "runs")])
+        assert rc == 2
+        assert "missing test_csv" in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
+
+    def test_half_configured_idx_names_the_missing_file(self, trained_run, tmp_path, capsys):
+        rc = main(["evaluate", "--checkpoint", str(trained_run / "checkpoint.json"),
+                   "--test-images", str(tmp_path / "images.idx"), "--out", str(tmp_path)])
+        assert rc == 2
+        assert "missing test_labels" in capsys.readouterr().err
+
+    def test_paper_cifar_without_data_says_so_in_evaluate(self, trained_run, tmp_path, capsys):
+        rc = main(["evaluate", "--checkpoint", str(trained_run / "checkpoint.json"),
+                   "--preset", "paper-cifar", "--out", str(tmp_path)])
+        assert rc == 2
+        assert "preset paper-cifar" in capsys.readouterr().err
+
+    def test_evaluate_reads_a_saved_csv_split(self, trained_run, tmp_path):
+        test = gen_gaussian_mixture(toy3_spec(samples_per_class=30, seed=10000), split="test")
+        save_csv(test, tmp_path / "test.csv")
+        base = ["evaluate", "--checkpoint", str(trained_run / "checkpoint.json"),
+                "--preset", "toy3", "--seed", "0", "--eval-attack-steps", "5"]
+        rc = main(base + ["--test-csv", str(tmp_path / "test.csv"), "--out", str(tmp_path / "csv")])
+        assert rc == 0
+        assert (tmp_path / "csv" / "confusion_adversarial.csv").exists()
+        from_csv = EvalReport.load(tmp_path / "csv" / "eval_adversarial.json")
+        # the same split generated in memory gives the same report figures
+        assert main(base + ["--test-per-class", "30", "--out", str(tmp_path / "gen")]) == 0
+        generated = EvalReport.load(tmp_path / "gen" / "eval_adversarial.json")
+        assert from_csv.to_dict() == generated.to_dict()
 
 
 class TestEvaluateCommand:
@@ -319,6 +374,22 @@ class TestSweepCommand:
         assert payload[0]["method"] == "eta0"
         assert payload[0]["fec"] == 1.0
         assert len(payload) == 2
+
+    def test_radius_directory_is_a_full_train_run(self, tmp_path):
+        flags = ["--preset", "toy3", "--seed", "0", "--out-root", str(tmp_path)] + TINY
+        assert main(["sweep", "--etas", "0,0.3"] + flags) == 0
+        run_dir = tmp_path / "codat_toy3_eta0.3_seed0"
+        from_sweep = run_artifacts(run_dir)
+        shutil.rmtree(run_dir)
+        assert main(["train", "--method", "codat", "--eta", "0.3"] + flags) == 0
+        assert run_artifacts(run_dir) == from_sweep
+
+    def test_run_name_rejected_before_training(self, tmp_path, capsys):
+        argv = ["sweep", "--preset", "toy3", "--seed", "0", "--out-root", str(tmp_path),
+                "--etas", "0,0.3", "--run-name", "foo"] + TINY
+        assert main(argv) == 2
+        assert "run_name" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_duplicate_etas_rejected(self, tmp_path, capsys):
         rc = main(["sweep", "--preset", "toy3", "--etas", "0.1,0.1",

@@ -5,8 +5,10 @@ scratch directory with single-threaded BLAS, on small toy3 runs:
 
 - `train` for every method, codat at eta 0, 0.3 and 1.5, and codat with
   `--select-best`;
+- `train` on CSV splits (toy3 data written by `codat.data.save_csv`) and on
+  a small IDX image/label pair packed with `struct`;
 - `evaluate` with `--attack pgd` and `--attack none`, and `attack`, on one
-  checkpoint;
+  checkpoint, and `evaluate --test-csv` on the CSV run's checkpoint;
 - `sweep --etas 0,0.3,1.5`;
 - two `oracle` runs;
 - `--print-config` for train, evaluate, attack and sweep.
@@ -26,13 +28,23 @@ from __future__ import annotations
 import hashlib
 import os
 import re
+import struct
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
+from codat.data import IDX_IMAGES_MAGIC, IDX_LABELS_MAGIC, gen_gaussian_mixture, save_csv, toy3_spec
+
 SIZE = ["--preset", "toy3", "--epochs", "2", "--train-per-class", "60", "--test-per-class", "40"]
 CHECKPOINT = "runs/codat_toy3_eta0.3_seed0/checkpoint.json"
+CSV_DATA = ["--train-csv", "data/train.csv", "--test-csv", "data/test.csv"]
+IDX_DATA = [
+    "--train-images", "data/train_images.idx", "--train-labels", "data/train_labels.idx",
+    "--test-images", "data/test_images.idx", "--test-labels", "data/test_labels.idx",
+]
 
 # (item name, argv); every path is relative to the scratch directory so the
 # resolved configuration, and with it every artifact, is path independent
@@ -49,6 +61,15 @@ MATRIX = [
     (
         "train_select_best",
         ["train", *SIZE, "--method", "codat", "--eta", "0.5", "--select-best"],
+    ),
+    ("train_csv", ["train", *SIZE, *CSV_DATA, "--out-root", "csv_runs"]),
+    ("train_idx", ["train", *SIZE, *IDX_DATA, "--out-root", "idx_runs"]),
+    (
+        "evaluate_csv",
+        [
+            "evaluate", *SIZE, "--test-csv", "data/test.csv", "--out", "eval_csv",
+            "--checkpoint", "csv_runs/codat_toy3_eta0.3_seed0/checkpoint.json",
+        ],
     ),
     ("evaluate_pgd", ["evaluate", *SIZE, "--checkpoint", CHECKPOINT, "--out", "eval_pgd"]),
     (
@@ -79,7 +100,26 @@ def _blank_volatile(name: str, data: bytes) -> bytes:
     return data
 
 
+def write_data(data_dir: Path) -> None:
+    """toy3 CSV splits, and a 2x2-pixel three-class IDX pair (90 train, 45 test)."""
+    data_dir.mkdir()
+    save_csv(gen_gaussian_mixture(toy3_spec(60, seed=0), split="train"), data_dir / "train.csv")
+    save_csv(gen_gaussian_mixture(toy3_spec(40, seed=10000), split="test"), data_dir / "test.csv")
+    rng = np.random.default_rng(7)
+    means = np.array([[40, 200, 40, 200], [200, 40, 200, 40], [120, 120, 120, 120]])
+    for split, count in (("train", 90), ("test", 45)):
+        labels = np.arange(count) % 3
+        pixels = np.clip(means[labels] + rng.normal(0.0, 30.0, size=(count, 4)), 0, 255)
+        (data_dir / f"{split}_images.idx").write_bytes(
+            struct.pack(">IIII", IDX_IMAGES_MAGIC, count, 2, 2) + pixels.astype(np.uint8).tobytes()
+        )
+        (data_dir / f"{split}_labels.idx").write_bytes(
+            struct.pack(">II", IDX_LABELS_MAGIC, count) + labels.astype(np.uint8).tobytes()
+        )
+
+
 def run_matrix(workdir: Path) -> list[tuple[str, bytes]]:
+    write_data(workdir / "data")
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
     env.pop("CODAT_OUT_ROOT", None)
     # the commands run inside the scratch directory, so anchor PYTHONPATH here
