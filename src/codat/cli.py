@@ -536,8 +536,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise CliError(f"--etas: {exc}") from None
     if not etas:
         raise CliError("--etas must list at least one value")
-    if len(set(etas)) != len(etas):
-        raise CliError(f"duplicate eta values in {etas}")
+    # run directories and sweep.csv rows name each radius with {eta:g}
+    names = [f"eta{eta:g}" for eta in etas]
+    if len(set(names)) != len(names):
+        raise CliError(f"duplicate eta values in {etas}: the radii are named {names}")
     resolved["method"] = "codat"
     train_data, test_data = _datasets(resolved)
     rows = []

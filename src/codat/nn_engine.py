@@ -2,7 +2,8 @@
 
 Dense layers with a rectifier between them and identity at the output,
 softmax cross-entropy, gradients with respect to both parameters and
-inputs (the latter feed the attack loop), SGD with momentum and weight
+inputs (`backward`, for the training update), the input gradient alone
+(`input_gradient`, for the attack loop), SGD with momentum and weight
 decay, and a piecewise-constant learning-rate schedule.  Everything is
 plain numpy in float64.
 """
@@ -160,6 +161,37 @@ def cross_entropy_per_example(logits: np.ndarray, labels: np.ndarray) -> np.ndar
     return logsumexp - true_logit
 
 
+def _forward_with_masks(
+    model: ModelParams, features: np.ndarray, inputs: list | None = None
+) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Logits and the boolean rectifier mask of every hidden layer.
+
+    When `inputs` is a list, every layer input is appended to it for the
+    weight gradients.
+    """
+    activation = features
+    masks = []
+    for weight, bias in model.layers[:-1]:
+        if inputs is not None:
+            inputs.append(activation)
+        pre = activation @ weight.T + bias
+        masks.append(pre > 0.0)
+        activation = np.maximum(pre, 0.0)
+    weight, bias = model.layers[-1]
+    if inputs is not None:
+        inputs.append(activation)
+    return activation @ weight.T + bias, masks
+
+
+def _cross_entropy_logit_grad(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """d(cross_entropy_i)/d(logits_i) for every row: softmax minus one-hot."""
+    shift = np.max(logits, axis=1, keepdims=True)
+    exp = np.exp(logits - shift)
+    delta = exp / np.sum(exp, axis=1, keepdims=True)
+    delta[np.arange(logits.shape[0]), labels - 1] -= 1.0
+    return delta
+
+
 def backward(
     model: ModelParams, batch: LabeledBatch, loss_weights: np.ndarray
 ) -> tuple[list[tuple[np.ndarray, np.ndarray]], np.ndarray]:
@@ -175,35 +207,35 @@ def backward(
         raise ValueError(
             f"feature dim {batch.features.shape[1]} does not match model input {model.input_dim}"
         )
-    # forward pass keeping every layer input and pre-activation
-    activation = batch.features
-    inputs = []
-    pre_activations = []
-    last = len(model.layers) - 1
-    for idx, (weight, bias) in enumerate(model.layers):
-        inputs.append(activation)
-        pre = activation @ weight.T + bias
-        pre_activations.append(pre)
-        activation = pre if idx == last else np.maximum(pre, 0.0)
-    logits = activation
-
-    # softmax cross-entropy head
-    shift = np.max(logits, axis=1, keepdims=True)
-    exp = np.exp(logits - shift)
-    softmax = exp / np.sum(exp, axis=1, keepdims=True)
-    delta = softmax.copy()
-    delta[np.arange(batch.size), batch.labels - 1] -= 1.0
+    inputs: list[np.ndarray] = []
+    logits, masks = _forward_with_masks(model, batch.features, inputs)
+    delta = _cross_entropy_logit_grad(logits, batch.labels)
     delta *= loss_weights[:, None]
-
     grads: list[tuple[np.ndarray, np.ndarray]] = [None] * len(model.layers)
-    for idx in range(last, -1, -1):
-        weight, _ = model.layers[idx]
+    for idx in range(len(model.layers) - 1, -1, -1):
         grads[idx] = (delta.T @ inputs[idx], np.sum(delta, axis=0))
-        upstream = delta @ weight
+        delta = delta @ model.layers[idx][0]
         if idx > 0:
-            upstream = upstream * (pre_activations[idx - 1] > 0.0)
-        delta = upstream
+            delta = delta * masks[idx - 1]
     return grads, delta
+
+
+def input_gradient(model: ModelParams, features: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Gradient of sum_i cross_entropy_i with respect to the input features.
+
+    Equal, bit for bit, to `backward(model, LabeledBatch(features, labels),
+    ones)[1]`, but it forms no weight or bias gradient and keeps no layer
+    input, only the rectifier masks.  The arguments are not validated: the
+    attack calls this once per step on float64 rows of width
+    `model.input_dim` and 1-based labels it has already checked.
+    """
+    logits, masks = _forward_with_masks(model, features)
+    delta = _cross_entropy_logit_grad(logits, labels)
+    for idx in range(len(model.layers) - 1, -1, -1):
+        delta = delta @ model.layers[idx][0]
+        if idx > 0:
+            delta = delta * masks[idx - 1]
+    return delta
 
 
 def sgd_step(

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -137,6 +139,20 @@ def test_single_sign_step_on_saturated_linear_model_moves_loss_by_radius_times_l
         forward(model, LabeledBatch(adversarial, labels)), labels
     )[0]
     assert loss_after - loss_before == eps * float(np.sum(np.abs(weight_row)))
+
+
+def test_attack_output_bytes_are_pinned():
+    # hash taken when each attack step still ran the full `backward` (numpy
+    # 2.4, x86-64); the input-gradient step must return the same bytes
+    rng = np.random.default_rng(2024)
+    model = init_model([6, 32, 32, 4], seed=5)
+    batch = LabeledBatch(rng.uniform(0.0, 1.0, size=(48, 6)), rng.integers(1, 5, size=48))
+    cfg = AttackConfig(epsilon=0.05, step_size=0.0125, steps=10)
+    out = pgd_attack(model, batch, cfg, seed=17)
+    assert out.dtype == np.float64 and out.shape == (48, 6)
+    assert hashlib.sha256(np.ascontiguousarray(out).tobytes()).hexdigest() == (
+        "ec4bf0079f57efdcc6eaa9511d005fc560d5f71e27a03e43c760fe4f51bba1a1"
+    )
 
 
 def test_attack_no_weaker_than_its_random_start_on_average():

@@ -397,6 +397,14 @@ class TestSweepCommand:
         assert rc == 2
         assert "duplicate" in capsys.readouterr().err
 
+    def test_radii_with_one_name_rejected_before_training(self, tmp_path, capsys):
+        # distinct floats, but both radii would write eta0.3 directories and rows
+        argv = ["sweep", "--preset", "toy3", "--seed", "0", "--out-root", str(tmp_path),
+                "--etas", "0,0.3,0.30000001"] + TINY
+        assert main(argv) == 2
+        assert "eta0.3" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_failing_run_names_the_eta(self, tmp_path, capsys):
         argv = ["sweep", "--preset", "toy3", "--seed", "0",
                 "--out-root", str(tmp_path), "--etas", "0.1,5.0"] + TINY

@@ -13,6 +13,7 @@ from codat.nn_engine import (
     forward,
     init_model,
     init_optimizer,
+    input_gradient,
     load_checkpoint,
     lr_at_epoch,
     params_digest,
@@ -203,6 +204,42 @@ def test_backward_rejects_mismatched_weights():
     batch = LabeledBatch(np.full((2, 2), 0.5), np.array([1, 2]))
     with pytest.raises(ValueError, match="weights"):
         backward(model, batch, np.ones(3))
+
+
+# -------------------------------------------------------- input gradient
+
+
+@pytest.mark.parametrize("dims", [[5, 3], [5, 16, 12, 8, 3]], ids=["linear", "three_hidden"])
+@pytest.mark.parametrize("rows", [1, 64, 512])
+def test_input_gradient_equals_backward_bit_for_bit(dims, rows):
+    rng = np.random.default_rng(rows)
+    model = init_model(dims, seed=rows + len(dims))
+    batch = make_batch(rng, rows, dims[0], dims[-1])
+    _, expected = backward(model, batch, np.ones(rows))
+    got = input_gradient(model, batch.features, batch.labels)
+    assert got.shape == batch.features.shape
+    assert np.array_equal(got, expected)
+
+
+def test_input_gradient_matches_finite_differences():
+    rng = np.random.default_rng(13)
+    weights = np.ones(4)
+    h = 1e-4
+    for dims in ([3, 4], [3, 6, 5, 4]):
+        model = init_model(dims, seed=int(rng.integers(10_000)))
+        batch = make_batch(rng, 4, dims[0], dims[-1])
+        analytic = input_gradient(model, batch.features, batch.labels)
+        feats = batch.features.copy()
+        for row in range(feats.shape[0]):
+            for col in range(feats.shape[1]):
+                original = feats[row, col]
+                feats[row, col] = original + h
+                up = weighted_loss(model, feats, batch.labels, weights)
+                feats[row, col] = original - h
+                down = weighted_loss(model, feats, batch.labels, weights)
+                feats[row, col] = original
+                numeric = (up - down) / (2 * h)
+                assert abs(analytic[row, col] - numeric) <= 1e-4 * (1.0 + abs(numeric))
 
 
 # ------------------------------------------------------------ optimizer

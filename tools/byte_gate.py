@@ -9,6 +9,8 @@ scratch directory with single-threaded BLAS, on small toy3 runs:
   a small IDX image/label pair packed with `struct`;
 - `evaluate` with `--attack pgd` and `--attack none`, and `attack`, on one
   checkpoint, and `evaluate --test-csv` on the CSV run's checkpoint;
+- `evaluate --attack pgd` on a 1200-row test split, so the per-batch attack
+  seeds `(seed, idx)` of three 512-row evaluation batches are hashed;
 - `sweep --etas 0,0.3,1.5`;
 - two `oracle` runs;
 - `--print-config` for train, evaluate, attack and sweep.
@@ -72,6 +74,13 @@ MATRIX = [
         ],
     ),
     ("evaluate_pgd", ["evaluate", *SIZE, "--checkpoint", CHECKPOINT, "--out", "eval_pgd"]),
+    (
+        "evaluate_pgd_1200_rows",
+        [
+            "evaluate", *SIZE, "--test-per-class", "400", "--checkpoint", CHECKPOINT,
+            "--out", "eval_pgd_1200_rows",
+        ],
+    ),
     (
         "evaluate_none",
         ["evaluate", *SIZE, "--checkpoint", CHECKPOINT, "--attack", "none", "--out", "eval_none"],
