@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .nn_engine import LabeledBatch, ModelParams, input_gradient
+from .nn_engine import LabeledBatch, ModelParams, backward
 
 _REPAIR_ROUNDS = 64
 
@@ -86,11 +86,11 @@ def pgd_attack(
 ) -> np.ndarray:
     """Iterated sign-gradient ascent on cross-entropy inside the epsilon ball.
 
-    Each step takes `input_gradient` of the plain unweighted per-example
-    loss on the current perturbed rows; the batch is validated once, here,
-    not per step.  The returned array has the same shape as
-    `batch.features` and is exactly feasible.  Fixed seeds give identical
-    perturbations.
+    Each step takes the input gradient of the plain unweighted per-example
+    loss on the current perturbed rows from `backward` without loss
+    weights, which forms no weight gradient.  The returned array has the
+    same shape as `batch.features` and is exactly feasible.  Fixed seeds
+    give identical perturbations.
     """
     anchor = batch.features
     if anchor.shape[1] != model.input_dim:
@@ -106,7 +106,7 @@ def pgd_attack(
     else:
         perturbed = anchor.copy()
     for step in range(cfg.steps):
-        input_grads = input_gradient(model, perturbed, batch.labels)
+        _, input_grads = backward(model, LabeledBatch(perturbed, batch.labels))
         if not np.all(np.isfinite(input_grads)):
             raise RuntimeError(
                 f"non-finite input gradient at attack step {step}; "

@@ -2,10 +2,10 @@
 
 Dense layers with a rectifier between them and identity at the output,
 softmax cross-entropy, gradients with respect to both parameters and
-inputs (`backward`, for the training update), the input gradient alone
-(`input_gradient`, for the attack loop), SGD with momentum and weight
-decay, and a piecewise-constant learning-rate schedule.  Everything is
-plain numpy in float64.
+inputs (`backward`, for the training update) or to the inputs alone
+(`backward` without loss weights, for the attack loop), SGD with momentum
+and weight decay, and a piecewise-constant learning-rate schedule.
+Everything is plain numpy in float64.
 """
 
 from __future__ import annotations
@@ -161,81 +161,60 @@ def cross_entropy_per_example(logits: np.ndarray, labels: np.ndarray) -> np.ndar
     return logsumexp - true_logit
 
 
-def _forward_with_masks(
-    model: ModelParams, features: np.ndarray, inputs: list | None = None
-) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Logits and the boolean rectifier mask of every hidden layer.
+def backward(
+    model: ModelParams, batch: LabeledBatch, loss_weights: np.ndarray | None = None
+) -> tuple[list[tuple[np.ndarray, np.ndarray]] | None, np.ndarray]:
+    """Gradients of sum_i loss_weights[i] * cross_entropy_i.
 
-    When `inputs` is a list, every layer input is appended to it for the
-    weight gradients.
+    Returns per-layer (weight gradient, bias gradient) pairs and the
+    gradient with respect to the input features.  Without `loss_weights`
+    (the attack loop) the loss is the plain sum and only the input gradient
+    is formed: the pairs are None, and no layer input is kept, only the
+    rectifier masks.  Its input gradient equals, bit for bit, the one
+    returned for weights of all ones.
     """
-    activation = features
+    weighted = loss_weights is not None
+    if weighted:
+        loss_weights = np.asarray(loss_weights, dtype=np.float64)
+        if loss_weights.shape != (batch.size,):
+            raise ValueError(f"loss weights shape {loss_weights.shape} does not match batch {batch.size}")
+    if batch.features.shape[1] != model.input_dim:
+        raise ValueError(
+            f"feature dim {batch.features.shape[1]} does not match model input {model.input_dim}"
+        )
+    # forward pass keeping the rectifier masks, and the layer inputs when
+    # weight gradients are wanted
+    activation = batch.features
+    inputs = []
     masks = []
     for weight, bias in model.layers[:-1]:
-        if inputs is not None:
+        if weighted:
             inputs.append(activation)
         pre = activation @ weight.T + bias
         masks.append(pre > 0.0)
         activation = np.maximum(pre, 0.0)
     weight, bias = model.layers[-1]
-    if inputs is not None:
+    if weighted:
         inputs.append(activation)
-    return activation @ weight.T + bias, masks
+    logits = activation @ weight.T + bias
 
-
-def _cross_entropy_logit_grad(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """d(cross_entropy_i)/d(logits_i) for every row: softmax minus one-hot."""
+    # softmax cross-entropy head
     shift = np.max(logits, axis=1, keepdims=True)
     exp = np.exp(logits - shift)
     delta = exp / np.sum(exp, axis=1, keepdims=True)
-    delta[np.arange(logits.shape[0]), labels - 1] -= 1.0
-    return delta
+    delta[np.arange(batch.size), batch.labels - 1] -= 1.0
 
-
-def backward(
-    model: ModelParams, batch: LabeledBatch, loss_weights: np.ndarray
-) -> tuple[list[tuple[np.ndarray, np.ndarray]], np.ndarray]:
-    """Gradients of sum_i loss_weights[i] * cross_entropy_i.
-
-    Returns per-layer (weight gradient, bias gradient) pairs and the
-    gradient with respect to the input features.
-    """
-    loss_weights = np.asarray(loss_weights, dtype=np.float64)
-    if loss_weights.shape != (batch.size,):
-        raise ValueError(f"loss weights shape {loss_weights.shape} does not match batch {batch.size}")
-    if batch.features.shape[1] != model.input_dim:
-        raise ValueError(
-            f"feature dim {batch.features.shape[1]} does not match model input {model.input_dim}"
-        )
-    inputs: list[np.ndarray] = []
-    logits, masks = _forward_with_masks(model, batch.features, inputs)
-    delta = _cross_entropy_logit_grad(logits, batch.labels)
-    delta *= loss_weights[:, None]
-    grads: list[tuple[np.ndarray, np.ndarray]] = [None] * len(model.layers)
+    grads = None
+    if weighted:
+        delta *= loss_weights[:, None]
+        grads = [None] * len(model.layers)
     for idx in range(len(model.layers) - 1, -1, -1):
-        grads[idx] = (delta.T @ inputs[idx], np.sum(delta, axis=0))
+        if weighted:
+            grads[idx] = (delta.T @ inputs[idx], np.sum(delta, axis=0))
         delta = delta @ model.layers[idx][0]
         if idx > 0:
             delta = delta * masks[idx - 1]
     return grads, delta
-
-
-def input_gradient(model: ModelParams, features: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """Gradient of sum_i cross_entropy_i with respect to the input features.
-
-    Equal, bit for bit, to `backward(model, LabeledBatch(features, labels),
-    ones)[1]`, but it forms no weight or bias gradient and keeps no layer
-    input, only the rectifier masks.  The arguments are not validated: the
-    attack calls this once per step on float64 rows of width
-    `model.input_dim` and 1-based labels it has already checked.
-    """
-    logits, masks = _forward_with_masks(model, features)
-    delta = _cross_entropy_logit_grad(logits, labels)
-    for idx in range(len(model.layers) - 1, -1, -1):
-        delta = delta @ model.layers[idx][0]
-        if idx > 0:
-            delta = delta * masks[idx - 1]
-    return delta
 
 
 def sgd_step(

@@ -13,7 +13,6 @@ from codat.nn_engine import (
     forward,
     init_model,
     init_optimizer,
-    input_gradient,
     load_checkpoint,
     lr_at_epoch,
     params_digest,
@@ -206,29 +205,30 @@ def test_backward_rejects_mismatched_weights():
         backward(model, batch, np.ones(3))
 
 
-# -------------------------------------------------------- input gradient
+# ------------------------------------------- unweighted (attack) backward
 
 
 @pytest.mark.parametrize("dims", [[5, 3], [5, 16, 12, 8, 3]], ids=["linear", "three_hidden"])
 @pytest.mark.parametrize("rows", [1, 64, 512])
-def test_input_gradient_equals_backward_bit_for_bit(dims, rows):
+def test_unweighted_backward_equals_unit_weights_bit_for_bit(dims, rows):
     rng = np.random.default_rng(rows)
     model = init_model(dims, seed=rows + len(dims))
     batch = make_batch(rng, rows, dims[0], dims[-1])
     _, expected = backward(model, batch, np.ones(rows))
-    got = input_gradient(model, batch.features, batch.labels)
+    grads, got = backward(model, batch)
+    assert grads is None
     assert got.shape == batch.features.shape
     assert np.array_equal(got, expected)
 
 
-def test_input_gradient_matches_finite_differences():
+def test_unweighted_backward_matches_finite_differences():
     rng = np.random.default_rng(13)
     weights = np.ones(4)
     h = 1e-4
     for dims in ([3, 4], [3, 6, 5, 4]):
         model = init_model(dims, seed=int(rng.integers(10_000)))
         batch = make_batch(rng, 4, dims[0], dims[-1])
-        analytic = input_gradient(model, batch.features, batch.labels)
+        _, analytic = backward(model, batch)
         feats = batch.features.copy()
         for row in range(feats.shape[0]):
             for col in range(feats.shape[1]):
