@@ -10,6 +10,7 @@ loader, and a seeded batch iterator.  All produced features live in
 from __future__ import annotations
 
 import csv
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -41,9 +42,11 @@ class Dataset:
             raise ValueError("labels must be integers")
         if np.min(labels) < 1:
             raise ValueError("labels are 1-based; smallest allowed value is 1")
-        if np.min(feats) < 0.0 or np.max(feats) > 1.0:
+        # written so that NaN, which fails every comparison, fails the check
+        if not (np.min(feats) >= 0.0 and np.max(feats) <= 1.0):
             raise ValueError(
-                f"features must lie in [0, 1], got range [{np.min(feats)}, {np.max(feats)}]"
+                f"features must be finite and lie in [0, 1], got range "
+                f"[{np.min(feats)}, {np.max(feats)}]"
             )
         if self.split not in ("train", "test"):
             raise ValueError(f"split must be 'train' or 'test', got {self.split!r}")
@@ -212,9 +215,13 @@ def load_csv(path, label_column: int = -1, num_classes: int | None = None, split
                     f"expected {len(rows[0])}"
                 )
             try:
-                rows.append([float(cell) for cell in row])
+                values = [float(cell) for cell in row]
             except ValueError as exc:
                 raise ValueError(f"non-numeric cell in {path} line {line_no}: {exc}") from None
+            bad = [cell for cell, value in zip(row, values) if not math.isfinite(value)]
+            if bad:
+                raise ValueError(f"non-finite cell {bad[0]!r} in {path} line {line_no}")
+            rows.append(values)
     if not rows:
         raise ValueError(f"empty CSV {path}")
     table = np.asarray(rows, dtype=np.float64)

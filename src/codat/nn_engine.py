@@ -5,7 +5,10 @@ softmax cross-entropy, gradients with respect to both parameters and
 inputs (`backward`, for the training update) or to the inputs alone
 (`backward` without loss weights, for the attack loop), SGD with momentum
 and weight decay, and a piecewise-constant learning-rate schedule.
-Everything is plain numpy in float64.
+Everything is plain numpy in float64.  Each dense layer writes its output
+into one fresh array and adds the bias and applies the rectifier in place,
+so a 512-row pass through 256-unit layers peaks at about 2 MiB of
+temporaries.
 """
 
 from __future__ import annotations
@@ -79,8 +82,9 @@ class LabeledBatch:
             raise ValueError("labels must be integers")
         if np.min(labels) < 1:
             raise ValueError("labels are 1-based; smallest allowed value is 1")
-        if feats.size and (np.min(feats) < 0.0 or np.max(feats) > 1.0):
-            raise ValueError("feature entries must lie in [0, 1]")
+        # written so that NaN, which fails every comparison, fails the check
+        if feats.size and not (np.min(feats) >= 0.0 and np.max(feats) <= 1.0):
+            raise ValueError("feature entries must be finite and lie in [0, 1]")
         object.__setattr__(self, "features", feats)
         object.__setattr__(self, "labels", labels.astype(np.int64))
 
@@ -139,8 +143,10 @@ def forward(model: ModelParams, batch: LabeledBatch) -> np.ndarray:
     activation = batch.features
     last = len(model.layers) - 1
     for idx, (weight, bias) in enumerate(model.layers):
-        pre = activation @ weight.T + bias
-        activation = pre if idx == last else np.maximum(pre, 0.0)
+        activation = activation @ weight.T
+        activation += bias
+        if idx != last:
+            np.maximum(activation, 0.0, out=activation)
     return activation
 
 
@@ -183,20 +189,25 @@ def backward(
             f"feature dim {batch.features.shape[1]} does not match model input {model.input_dim}"
         )
     # forward pass keeping the rectifier masks, and the layer inputs when
-    # weight gradients are wanted
+    # weight gradients are wanted; the bias and the rectifier act in place
+    # on each layer's one fresh output array
     activation = batch.features
     inputs = []
     masks = []
     for weight, bias in model.layers[:-1]:
         if weighted:
             inputs.append(activation)
-        pre = activation @ weight.T + bias
-        masks.append(pre > 0.0)
-        activation = np.maximum(pre, 0.0)
+        activation = activation @ weight.T
+        activation += bias
+        masks.append(activation > 0.0)
+        np.maximum(activation, 0.0, out=activation)
     weight, bias = model.layers[-1]
     if weighted:
         inputs.append(activation)
-    logits = activation @ weight.T + bias
+    logits = activation @ weight.T
+    logits += bias
+    # without weights the sweep needs only the masks: free the last layer input
+    del activation
 
     # softmax cross-entropy head
     shift = np.max(logits, axis=1, keepdims=True)
@@ -213,7 +224,7 @@ def backward(
             grads[idx] = (delta.T @ inputs[idx], np.sum(delta, axis=0))
         delta = delta @ model.layers[idx][0]
         if idx > 0:
-            delta = delta * masks[idx - 1]
+            delta *= masks[idx - 1]
     return grads, delta
 
 

@@ -2,6 +2,8 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from codat.attacks import AttackConfig, pgd_attack, project_linf
 from codat.nn_engine import (
@@ -107,6 +109,34 @@ def test_attack_output_is_exactly_feasible():
         assert float(np.max(np.abs(out - batch.features))) <= cfg.epsilon
         assert float(np.min(out)) >= 0.0
         assert float(np.max(out)) <= 1.0
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(
+    epsilon=st.floats(min_value=1e-12, max_value=0.999),
+    step_fraction=st.floats(min_value=1e-3, max_value=1.0),
+    steps=st.integers(1, 6),
+    random_start=st.booleans(),
+    rows=st.integers(1, 40),
+    dim=st.integers(1, 6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_attack_output_is_exactly_feasible_property(
+    epsilon, step_fraction, steps, random_start, rows, dim, seed
+):
+    rng = np.random.default_rng(seed)
+    cfg = AttackConfig(epsilon, step_fraction * (2.0 * epsilon), steps, random_start)
+    anchor = rng.uniform(0.0, 1.0, size=(rows, dim))
+    # anchors sitting exactly on the box faces, where the two clamps meet
+    edge = rng.integers(0, 3, size=anchor.shape)
+    anchor[edge == 1] = 0.0
+    anchor[edge == 2] = 1.0
+    batch = LabeledBatch(anchor, rng.integers(1, 4, size=rows))
+    out = pgd_attack(init_model([dim, 8, 3], seed=seed), batch, cfg, seed=seed)
+    assert out.shape == anchor.shape
+    assert float(np.max(np.abs(out - anchor))) <= epsilon
+    assert float(np.min(out)) >= 0.0
+    assert float(np.max(out)) <= 1.0
 
 
 def test_attack_is_deterministic_per_seed():

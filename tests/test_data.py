@@ -26,6 +26,12 @@ def test_dataset_rejects_out_of_range_features():
         Dataset(np.array([[1.5, 0.2]]), np.array([1]), "train")
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_dataset_rejects_non_finite_features(bad):
+    with pytest.raises(ValueError, match="finite"):
+        Dataset(np.array([[0.5, bad], [0.2, 0.3]]), np.array([1, 2]), "train")
+
+
 def test_dataset_rejects_zero_based_labels():
     with pytest.raises(ValueError, match="1-based"):
         Dataset(np.array([[0.5, 0.5]]), np.array([0]), "train")
@@ -194,6 +200,16 @@ def test_csv_rejects_non_numeric_cells(tmp_path):
     path = tmp_path / "data.csv"
     path.write_text("1,apple,1\n")
     with pytest.raises(ValueError, match="non-numeric"):
+        load_csv(path)
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+def test_csv_rejects_non_finite_cells_naming_file_and_line(tmp_path, cell):
+    # must fail at load time: min-max rescaling would turn the column into
+    # NaN features, which surface only later as a diverged attack
+    path = tmp_path / "data.csv"
+    path.write_text(f"2.0,0.5,1\n\n{cell},0.25,2\n")
+    with pytest.raises(ValueError, match=f"non-finite cell '{cell}' in .*data.csv line 3"):
         load_csv(path)
 
 

@@ -1,8 +1,12 @@
+import hashlib
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from codat.nn_engine import (
     LabeledBatch,
@@ -43,6 +47,12 @@ def test_model_rejects_nonfinite_entries():
 def test_batch_rejects_out_of_bounds_features():
     with pytest.raises(ValueError, match="0, 1"):
         LabeledBatch(np.array([[0.5, 1.2]]), np.array([1]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_batch_rejects_non_finite_features(bad):
+    with pytest.raises(ValueError, match="finite"):
+        LabeledBatch(np.array([[0.5, bad], [0.2, 0.3]]), np.array([1, 2]))
 
 
 def test_batch_rejects_zero_based_labels():
@@ -240,6 +250,70 @@ def test_unweighted_backward_matches_finite_differences():
                 feats[row, col] = original
                 numeric = (up - down) / (2 * h)
                 assert abs(analytic[row, col] - numeric) <= 1e-4 * (1.0 + abs(numeric))
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(
+    input_dim=st.integers(1, 6),
+    hidden=st.lists(st.integers(1, 24), max_size=3),
+    num_classes=st.integers(2, 5),
+    rows=st.integers(1, 600),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_unweighted_backward_equals_unit_weights_property(input_dim, hidden, num_classes, rows, seed):
+    rng = np.random.default_rng(seed)
+    model = init_model([input_dim, *hidden, num_classes], seed=seed)
+    batch = make_batch(rng, rows, input_dim, num_classes)
+    _, expected = backward(model, batch, np.ones(rows))
+    grads, got = backward(model, batch)
+    assert grads is None
+    assert np.array_equal(got, expected)
+
+
+# ------------------------------------------- memory and pinned bytes, toy3 size
+
+
+def toy3_sized_case():
+    """The toy3 2-256-256-3 model on 512 rows, the evaluation batch size."""
+    model = init_model([2, 256, 256, 3], seed=0)
+    rng = np.random.default_rng(0)
+    batch = LabeledBatch(rng.uniform(0.0, 1.0, size=(512, 2)), rng.integers(1, 4, size=512))
+    return model, batch, rng.uniform(0.1, 1.0, size=512)
+
+
+def traced_peak_mib(fn) -> float:
+    """Peak bytes allocated while `fn` runs, above what was live before, in MiB."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        fn()
+        return (tracemalloc.get_traced_memory()[1] - before) / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def test_toy3_sized_passes_reuse_layer_temporaries():
+    # one 1 MiB layer output plus the next one while it is formed: 2 MiB;
+    # a fresh array for every bias add or rectifier would need 4 MiB
+    model, batch, _ = toy3_sized_case()
+    assert traced_peak_mib(lambda: backward(model, batch)) <= 2.5
+    assert traced_peak_mib(lambda: forward(model, batch)) <= 2.5
+
+
+def test_toy3_sized_outputs_are_pinned():
+    # hashes taken when every bias add and rectifier made a fresh array
+    # (numpy 2.4, x86-64); the in-place layers must return the same bytes
+    model, batch, weights = toy3_sized_case()
+    grads, input_grads = backward(model, batch, weights)
+    h = hashlib.sha256()
+    for gw, gb in grads:
+        h.update(gw.tobytes())
+        h.update(gb.tobytes())
+    h.update(input_grads.tobytes())
+    assert h.hexdigest() == "298c796b8fc8c999bf8288f0c69b8aa6e829918b27bfa7f671d1c80a43bcb905"
+    assert hashlib.sha256(forward(model, batch).tobytes()).hexdigest() == (
+        "9cccfd9a9a0aa3a083f6c9434cbf4a16171ec84e6b20b341ae112efa294537ff"
+    )
 
 
 # ------------------------------------------------------------ optimizer

@@ -23,6 +23,10 @@ and per stdout, so two trees compare with a plain diff:
     PYTHONPATH=src python tools/byte_gate.py > new.txt
     PYTHONPATH=<other tree>/src python tools/byte_gate.py > old.txt
     diff old.txt new.txt
+
+`tools/byte_gate.sha256` holds the expected lines, and
+`tests/test_byte_gate.py` compares a fresh run with it.  A change that
+alters an artifact's bytes on purpose updates that file and says why.
 """
 
 from __future__ import annotations
