@@ -408,13 +408,7 @@ def cmd_attack(args: argparse.Namespace) -> int:
     features = np.vstack(adv_rows)
     out_dir = Path(args.out) if args.out else Path(args.checkpoint).parent
     out_dir.mkdir(parents=True, exist_ok=True)
-    adv_dataset = Dataset(
-        features,
-        data.labels,
-        split=data.split,
-        provenance={**data.provenance, "perturbation": "pgd-linf", "epsilon": attack.epsilon},
-    )
-    save_csv(adv_dataset, out_dir / "adversarial.csv")
+    save_csv(Dataset(features, data.labels, data.split), out_dir / "adversarial.csv")
     summary = {
         "examples": data.size,
         "natural_accuracy": nat_correct / data.size,

@@ -23,43 +23,21 @@ IDX_LABELS_MAGIC = 0x00000801
 
 
 @dataclass(frozen=True)
-class Dataset:
-    """Immutable labeled dataset with features in [0, 1] and 1-based labels."""
+class Dataset(LabeledBatch):
+    """Immutable labeled split: a validated `LabeledBatch` plus split and provenance."""
 
-    features: np.ndarray
-    labels: np.ndarray
     split: str
     provenance: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        feats = np.asarray(self.features, dtype=np.float64)
-        labels = np.asarray(self.labels)
-        if feats.ndim != 2 or feats.shape[0] < 1:
-            raise ValueError(f"features must be a nonempty 2-d array, got shape {feats.shape}")
-        if labels.shape != (feats.shape[0],):
-            raise ValueError(f"labels shape {labels.shape} does not match {feats.shape[0]} rows")
-        if not np.issubdtype(labels.dtype, np.integer):
-            raise ValueError("labels must be integers")
-        if np.min(labels) < 1:
-            raise ValueError("labels are 1-based; smallest allowed value is 1")
-        # written so that NaN, which fails every comparison, fails the check
-        if not (np.min(feats) >= 0.0 and np.max(feats) <= 1.0):
-            raise ValueError(
-                f"features must be finite and lie in [0, 1], got range "
-                f"[{np.min(feats)}, {np.max(feats)}]"
-            )
+        super().__post_init__()
         if self.split not in ("train", "test"):
             raise ValueError(f"split must be 'train' or 'test', got {self.split!r}")
-        feats = feats.copy()
+        # own the feature rows; the label array is already a fresh int64 copy
+        feats = self.features.copy()
         feats.flags.writeable = False
-        labels = labels.astype(np.int64)
-        labels.flags.writeable = False
+        self.labels.flags.writeable = False
         object.__setattr__(self, "features", feats)
-        object.__setattr__(self, "labels", labels)
-
-    @property
-    def size(self) -> int:
-        return int(self.features.shape[0])
 
     @property
     def num_classes(self) -> int:
@@ -196,8 +174,8 @@ def load_idx(images_path, labels_path, split: str = "train") -> Dataset:
     return Dataset(features, labels, split, provenance)
 
 
-def load_csv(path, label_column: int = -1, num_classes: int | None = None, split: str = "train") -> Dataset:
-    """Load a rectangular numeric CSV with one integer label column.
+def load_csv(path, num_classes: int | None = None, split: str = "train") -> Dataset:
+    """Load a rectangular numeric CSV whose last column is the integer label.
 
     Feature columns already inside [0, 1] pass through unchanged, so an
     emitted dataset reloads bit-exactly; columns outside that range are
@@ -225,10 +203,11 @@ def load_csv(path, label_column: int = -1, num_classes: int | None = None, split
     if not rows:
         raise ValueError(f"empty CSV {path}")
     table = np.asarray(rows, dtype=np.float64)
-    label_idx = label_column if label_column >= 0 else table.shape[1] + label_column
-    raw_labels = table[:, label_idx]
+    if table.shape[1] < 2:
+        raise ValueError(f"CSV {path} has no feature columns, only the label column")
+    raw_labels = table[:, -1]
     if np.any(raw_labels != np.round(raw_labels)):
-        raise ValueError(f"label column {label_column} of {path} contains non-integral values")
+        raise ValueError(f"label column of {path} contains non-integral values")
     labels = raw_labels.astype(np.int64)
     if np.min(labels) < 1:
         raise ValueError(f"labels in {path} must be 1-based, found {np.min(labels)}")
@@ -236,7 +215,7 @@ def load_csv(path, label_column: int = -1, num_classes: int | None = None, split
         raise ValueError(
             f"label {np.max(labels)} in {path} exceeds declared class count {num_classes}"
         )
-    features = np.delete(table, label_idx, axis=1)
+    features = table[:, :-1]
     transforms = []
     for col in range(features.shape[1]):
         column = features[:, col]
@@ -252,7 +231,6 @@ def load_csv(path, label_column: int = -1, num_classes: int | None = None, split
     provenance = {
         "source": "csv",
         "path": str(path),
-        "label_column": int(label_column),
         "normalization": transforms,
         "augmentation": "none",
     }

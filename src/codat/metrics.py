@@ -71,11 +71,6 @@ class EvalReport:
             attack_config=payload.get("attack_config"),
         )
 
-    def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, sort_keys=True, indent=2)
-            fh.write("\n")
-
     @staticmethod
     def load(path) -> "EvalReport":
         with open(path, "r", encoding="utf-8") as fh:
@@ -199,15 +194,6 @@ def fec_rows(named_accuracies: list[tuple[str, float, float]], baseline: str) ->
             value = fec(FecInputs(wst, base_wst, avg, base_avg))
         rows.append(FecRow(name, avg, wst, value))
     return rows
-
-
-def fec_table(named_reports: list[tuple[str, EvalReport]], baseline: str) -> list[FecRow]:
-    """FEC table from evaluation reports (accuracies taken as fractions)."""
-    triples = [
-        (name, report.average_accuracy, report.worst_class_accuracy)
-        for name, report in named_reports
-    ]
-    return fec_rows(triples, baseline)
 
 
 def fec_table_to_csv(rows: list[FecRow], path) -> None:

@@ -74,7 +74,8 @@ class LabeledBatch:
     def __post_init__(self):
         feats = np.asarray(self.features, dtype=np.float64)
         labels = np.asarray(self.labels)
-        if feats.ndim != 2 or feats.shape[0] < 1:
+        # at least one row and at least one feature column
+        if feats.ndim != 2 or feats.size == 0:
             raise ValueError(f"features must be a nonempty 2-d array, got shape {feats.shape}")
         if labels.shape != (feats.shape[0],):
             raise ValueError(f"labels shape {labels.shape} does not match {feats.shape[0]} rows")
@@ -83,8 +84,11 @@ class LabeledBatch:
         if np.min(labels) < 1:
             raise ValueError("labels are 1-based; smallest allowed value is 1")
         # written so that NaN, which fails every comparison, fails the check
-        if feats.size and not (np.min(feats) >= 0.0 and np.max(feats) <= 1.0):
-            raise ValueError("feature entries must be finite and lie in [0, 1]")
+        if not (np.min(feats) >= 0.0 and np.max(feats) <= 1.0):
+            raise ValueError(
+                f"features must be finite and lie in [0, 1], got range "
+                f"[{np.min(feats)}, {np.max(feats)}]"
+            )
         object.__setattr__(self, "features", feats)
         object.__setattr__(self, "labels", labels.astype(np.int64))
 

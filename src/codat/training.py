@@ -176,34 +176,6 @@ def class_avg_loss(
     return ClassRiskVector(risks), present
 
 
-def _present_ball(present: np.ndarray, eta: float) -> tuple[np.ndarray, AmbiguityConfig | None]:
-    """Present-class indices and the chi-square ball around uniform over them.
-
-    The radius is clamped below the present-class Dirac bound; a
-    single-class batch has no ball (None) and degenerates to that class.
-    """
-    indices = np.nonzero(present)[0]
-    if indices.size == 0:
-        raise ValueError("batch contains no classes")
-    if indices.size == 1:
-        return indices, None
-    # a batch missing classes shrinks the Dirac bound; clamp just below it
-    eta = min(eta, (indices.size - 1) * (1.0 - 1e-9))
-    return indices, AmbiguityConfig(uniform_distribution(indices.size), eta)
-
-
-def codat_batch_loss(risks: ClassRiskVector, present: np.ndarray, eta: float) -> float:
-    """Scalar batch objective: mean + sqrt(eta * variance) over present classes.
-
-    The base distribution is uniform over the classes present in the batch;
-    a single-class batch degenerates to that class's risk.
-    """
-    indices, cfg = _present_ball(present, eta)
-    if cfg is None:
-        return float(risks.risks[indices[0]])
-    return equivalent_objective(ClassRiskVector(risks.risks[indices]), cfg)
-
-
 def _spread_over_examples(
     class_row: np.ndarray, labels: np.ndarray, counts: np.ndarray
 ) -> np.ndarray:
@@ -219,12 +191,17 @@ def _spread_over_examples(
 
 
 def _codat_step(config, adv_losses, labels, risks, present, counts):
-    indices, cfg = _present_ball(present, config.eta)
+    # the ball is centred on uniform over the classes present in the batch
+    indices = np.nonzero(present)[0]
     class_row = np.zeros(counts.size)
-    if cfg is None:
+    if indices.size == 1:
+        # a single-class batch has no ball and degenerates to that class
         class_row[indices[0]] = 1.0
         loss = float(risks.risks[indices[0]])
         return loss, _spread_over_examples(class_row, labels, counts), class_row, None
+    # a batch missing classes shrinks the Dirac bound; clamp just below it
+    eta = min(config.eta, (indices.size - 1) * (1.0 - 1e-9))
+    cfg = AmbiguityConfig(uniform_distribution(indices.size), eta)
     sub = ClassRiskVector(risks.risks[indices])
     solution = worst_case_distribution(sub, cfg)
     # history row: the feasible worst-case distribution; routing row: the

@@ -241,6 +241,16 @@ class TestDatasets:
         assert re.search(r"non-finite cell 'nan' in \S*train\.csv line 2", capsys.readouterr().err)
         assert not (tmp_path / "runs").exists()
 
+    def test_label_only_csv_is_a_usage_error(self, tmp_path, capsys):
+        test = gen_gaussian_mixture(toy3_spec(samples_per_class=4, seed=3), split="test")
+        save_csv(test, tmp_path / "test.csv")
+        (tmp_path / "train.csv").write_text("1\n2\n3\n")
+        rc = main(["train", *TINY, "--train-csv", str(tmp_path / "train.csv"),
+                   "--test-csv", str(tmp_path / "test.csv"), "--out-root", str(tmp_path / "runs")])
+        assert rc == 2
+        assert re.search(r"CSV \S*train\.csv has no feature columns", capsys.readouterr().err)
+        assert not (tmp_path / "runs").exists()
+
     def test_evaluate_reads_a_saved_csv_split(self, trained_run, tmp_path):
         test = gen_gaussian_mixture(toy3_spec(samples_per_class=30, seed=10000), split="test")
         save_csv(test, tmp_path / "test.csv")

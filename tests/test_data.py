@@ -26,10 +26,18 @@ def test_dataset_rejects_out_of_range_features():
         Dataset(np.array([[1.5, 0.2]]), np.array([1]), "train")
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-def test_dataset_rejects_non_finite_features(bad):
-    with pytest.raises(ValueError, match="finite"):
-        Dataset(np.array([[0.5, bad], [0.2, 0.3]]), np.array([1, 2]), "train")
+@pytest.mark.parametrize(
+    "features, match",
+    [
+        pytest.param(np.array([[0.5, np.nan], [0.2, 0.3]]), "finite", id="nan"),
+        pytest.param(np.array([[0.5, np.inf], [0.2, 0.3]]), "finite", id="inf"),
+        pytest.param(np.array([[0.5, -np.inf], [0.2, 0.3]]), "finite", id="-inf"),
+        pytest.param(np.empty((2, 0)), r"nonempty 2-d array, got shape \(2, 0\)", id="no_column"),
+    ],
+)
+def test_dataset_rejects_non_finite_features(features, match):
+    with pytest.raises(ValueError, match=match):
+        Dataset(features, np.array([1, 2]), "train")
 
 
 def test_dataset_rejects_zero_based_labels():
@@ -210,6 +218,13 @@ def test_csv_rejects_non_finite_cells_naming_file_and_line(tmp_path, cell):
     path = tmp_path / "data.csv"
     path.write_text(f"2.0,0.5,1\n\n{cell},0.25,2\n")
     with pytest.raises(ValueError, match=f"non-finite cell '{cell}' in .*data.csv line 3"):
+        load_csv(path)
+
+
+def test_csv_without_feature_columns_names_the_file(tmp_path):
+    path = tmp_path / "labels.csv"
+    path.write_text("1\n2\n3\n")
+    with pytest.raises(ValueError, match=r"CSV \S*labels\.csv has no feature columns"):
         load_csv(path)
 
 

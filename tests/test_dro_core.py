@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from codat.dro_core import (
+    ZERO_VARIANCE_GUARD,
     AmbiguityConfig,
     ClassRiskVector,
     ProbabilityDistribution,
@@ -296,6 +299,26 @@ def test_gradient_equals_worst_case_distribution_when_valid():
     np.testing.assert_allclose(
         equivalent_objective_gradient(risks, cfg), sol.distribution.weights, atol=1e-12
     )
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(
+    risks=st.lists(st.floats(min_value=0.0, max_value=5.0), min_size=2, max_size=10),
+    radius_fraction=st.floats(min_value=0.0, max_value=0.999),
+)
+def test_gradient_is_the_worst_case_bit_for_bit_property(risks, radius_fraction):
+    # the identity the trainer's codat history row relies on: wherever the
+    # closed form holds, the routing gradient is the worst-case distribution
+    risks = ClassRiskVector(np.array(risks))
+    cfg = AmbiguityConfig(uniform_distribution(risks.size), radius_fraction * (risks.size - 1))
+    _, variance = mean_variance_under(cfg.p0, risks)
+    gradient = equivalent_objective_gradient(risks, cfg)
+    # decided before the solver runs, so no example takes the numeric fallback
+    assume(variance >= ZERO_VARIANCE_GUARD and np.min(gradient) >= 0.0)
+    solution = worst_case_distribution(risks, cfg)
+    assert solution.closed_form_valid
+    assert np.array_equal(gradient, solution.distribution.weights)
+    assert solution.objective_value == equivalent_objective(risks, cfg)
 
 
 def test_gradient_matches_central_differences():

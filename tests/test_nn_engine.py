@@ -49,10 +49,18 @@ def test_batch_rejects_out_of_bounds_features():
         LabeledBatch(np.array([[0.5, 1.2]]), np.array([1]))
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-def test_batch_rejects_non_finite_features(bad):
-    with pytest.raises(ValueError, match="finite"):
-        LabeledBatch(np.array([[0.5, bad], [0.2, 0.3]]), np.array([1, 2]))
+@pytest.mark.parametrize(
+    "features, match",
+    [
+        pytest.param(np.array([[0.5, np.nan], [0.2, 0.3]]), "finite", id="nan"),
+        pytest.param(np.array([[0.5, np.inf], [0.2, 0.3]]), "finite", id="inf"),
+        pytest.param(np.array([[0.5, -np.inf], [0.2, 0.3]]), "finite", id="-inf"),
+        pytest.param(np.empty((2, 0)), r"nonempty 2-d array, got shape \(2, 0\)", id="no_column"),
+    ],
+)
+def test_batch_rejects_non_finite_features(features, match):
+    with pytest.raises(ValueError, match=match):
+        LabeledBatch(features, np.array([1, 2]))
 
 
 def test_batch_rejects_zero_based_labels():

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from codat.attacks import AttackConfig
 from codat.data import Dataset, batch_iter, gen_gaussian_mixture, toy3_spec
@@ -27,7 +29,6 @@ from codat.training import (
     TrainConfig,
     TrainHistory,
     class_avg_loss,
-    codat_batch_loss,
     config_fingerprint,
     train,
     _history_header,
@@ -108,6 +109,11 @@ class TestClassAvgLoss:
                 np.mean(losses), abs=1e-12
             )
 
+    def test_rejects_empty_loss_vector(self):
+        # the only place an empty batch is rejected before any step function runs
+        with pytest.raises(ValueError, match="nonempty loss vector"):
+            class_avg_loss(np.array([]), np.array([], dtype=np.int64), 3)
+
     def test_rejects_out_of_range_labels(self):
         with pytest.raises(ValueError, match="labels"):
             class_avg_loss(np.array([1.0, 2.0]), np.array([1, 4]), 3)
@@ -116,45 +122,48 @@ class TestClassAvgLoss:
 
 
 class TestCodatBatchLoss:
+    """The codat step's batch objective: mean + sqrt(eta * variance) over present classes."""
+
     def test_zero_radius_gives_present_class_mean(self):
-        risks, present = class_avg_loss(
-            np.array([1.0, 1.0, 2.0, 4.0]), np.array([1, 1, 2, 3]), 3
+        loss, _, _, _ = run_step(
+            "codat", np.array([1.0, 1.0, 2.0, 4.0]), np.array([1, 1, 2, 3]), 3, eta=0.0
         )
-        assert codat_batch_loss(risks, present, 0.0) == pytest.approx(7.0 / 3.0, abs=1e-12)
+        assert loss == pytest.approx(7.0 / 3.0, abs=1e-12)
 
     def test_single_class_batch_returns_its_risk(self):
-        risks, present = class_avg_loss(np.array([2.5, 3.5]), np.array([2, 2]), 3)
-        assert codat_batch_loss(risks, present, 0.7) == 3.0
+        loss, weights, row, valid = run_step(
+            "codat", np.array([2.5, 3.5]), np.array([2, 2]), 3, eta=0.7
+        )
+        assert loss == 3.0
+        assert np.array_equal(row, [0.0, 1.0, 0.0])
+        assert np.array_equal(weights, [0.5, 0.5])
+        assert valid is None
 
     def test_hand_value_three_classes(self):
-        risks = ClassRiskVector(np.array([1.0, 2.0, 3.0]))
-        present = np.array([True, True, True])
+        loss, _, _, _ = run_step(
+            "codat", np.array([1.0, 2.0, 3.0]), np.array([1, 2, 3]), 3, eta=0.5
+        )
         expected = 2.0 + np.sqrt(0.5 * 2.0 / 3.0)
-        assert codat_batch_loss(risks, present, 0.5) == pytest.approx(expected, abs=1e-12)
+        assert loss == pytest.approx(expected, abs=1e-12)
 
     def test_absent_class_restricts_base_distribution(self):
         # class 2 absent: objective uses the uniform pair distribution
-        risks, present = class_avg_loss(np.array([1.0, 3.0]), np.array([1, 3]), 3)
-        pair = ClassRiskVector(np.array([1.0, 3.0]))
+        loss, _, row, _ = run_step("codat", np.array([1.0, 3.0]), np.array([1, 3]), 3, eta=0.4)
         expected = 2.0 + np.sqrt(0.4 * 1.0)
-        assert codat_batch_loss(risks, present, 0.4) == pytest.approx(expected, abs=1e-12)
+        assert loss == pytest.approx(expected, abs=1e-12)
+        pair = ClassRiskVector(np.array([1.0, 3.0]))
         cfg = AmbiguityConfig(uniform_distribution(2), 0.4)
-        assert codat_batch_loss(risks, present, 0.4) == pytest.approx(
+        assert loss == pytest.approx(
             worst_case_distribution(pair, cfg).objective_value, abs=1e-9
         )
+        assert row[1] == 0.0
 
     def test_radius_clamped_below_pair_bound(self):
         # two present classes bound the radius at 1; the clamped objective
         # approaches the larger risk from below
-        risks, present = class_avg_loss(np.array([1.0, 3.0]), np.array([1, 3]), 3)
-        loss = codat_batch_loss(risks, present, 1.9)
+        loss, _, _, _ = run_step("codat", np.array([1.0, 3.0]), np.array([1, 3]), 3, eta=1.9)
         assert loss == pytest.approx(3.0, abs=1e-4)
         assert loss <= 3.0
-
-    def test_empty_mask_rejected(self):
-        risks = ClassRiskVector(np.array([1.0, 2.0]))
-        with pytest.raises(ValueError, match="no classes"):
-            codat_batch_loss(risks, np.array([False, False]), 0.3)
 
 
 class TestStepFunctions:
@@ -271,6 +280,29 @@ class TestTrainingLoop:
         m2, h2 = train(std_cfg, data)
         assert params_digest(m1) == params_digest(m2)
         assert config_fingerprint(codat_cfg) == config_fingerprint(std_cfg)
+        assert [r.params_digest for r in h1.records] == [r.params_digest for r in h2.records]
+
+    @settings(derandomize=True, deadline=None, max_examples=30)
+    @given(
+        per_class=st.integers(2, 12),
+        batch_size=st.integers(1, 40),
+        hidden_dims=st.lists(st.integers(1, 6), max_size=2),
+        epochs=st.integers(1, 3),
+        epsilon=st.floats(min_value=0.0, max_value=0.2),
+        steps=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_zero_radius_matches_standard_per_epoch_property(
+        self, per_class, batch_size, hidden_dims, epochs, epsilon, steps, seed
+    ):
+        data = small_dataset(per_class=per_class, seed=seed)
+        attack = AttackConfig(epsilon, epsilon, steps, random_start=True)
+        base = dict(
+            epochs=epochs, batch_size=batch_size, hidden_dims=tuple(hidden_dims),
+            attack=attack, seed=seed,
+        )
+        _, h1 = train(make_config("codat", eta=0.0, **base), data)
+        _, h2 = train(make_config("standard_at", **base), data)
         assert [r.params_digest for r in h1.records] == [r.params_digest for r in h2.records]
 
     def test_uniform_weights_match_standard_on_balanced_batches(self):

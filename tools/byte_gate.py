@@ -9,8 +9,9 @@ scratch directory with single-threaded BLAS, on small toy3 runs:
   a small IDX image/label pair packed with `struct`;
 - `evaluate` with `--attack pgd` and `--attack none`, and `attack`, on one
   checkpoint, and `evaluate --test-csv` on the CSV run's checkpoint;
-- `evaluate --attack pgd` on a 1200-row test split, so the per-batch attack
-  seeds `(seed, idx)` of three 512-row evaluation batches are hashed;
+- `evaluate --attack pgd` and `attack` on a 1200-row test split, so the
+  per-batch attack seeds `(seed, idx)` of three 512-row batches, and the
+  stacking of those batches into `adversarial.csv`, are hashed;
 - `sweep --etas 0,0.3,1.5`;
 - two `oracle` runs;
 - `--print-config` for train, evaluate, attack and sweep.
@@ -90,6 +91,13 @@ MATRIX = [
         ["evaluate", *SIZE, "--checkpoint", CHECKPOINT, "--attack", "none", "--out", "eval_none"],
     ),
     ("attack", ["attack", *SIZE, "--checkpoint", CHECKPOINT, "--out", "attack"]),
+    (
+        "attack_1200_rows",
+        [
+            "attack", *SIZE, "--test-per-class", "400", "--checkpoint", CHECKPOINT,
+            "--out", "attack_1200_rows",
+        ],
+    ),
     ("sweep", ["sweep", *SIZE, "--etas", "0,0.3,1.5", "--out-root", "sweep"]),
     ("oracle_default", ["oracle", "--trials", "50", "--seed", "3", "--out", "oracle/default.json"]),
     (
