@@ -24,10 +24,10 @@ from .dro_core import (
     AmbiguityConfig,
     ClassRiskVector,
     ProbabilityDistribution,
+    closed_form_worst_case,
     equivalent_objective,
     oracle_worst_case,
     uniform_distribution,
-    worst_case_distribution,
 )
 from .metrics import (
     EvalReport,
@@ -490,8 +490,9 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         eta = min(eta, (num_classes - 1) * 0.999)
         risks = ClassRiskVector(rng.uniform(0.0, 5.0, size=num_classes))
         cfg = AmbiguityConfig(uniform_distribution(num_classes), eta)
-        solution = worst_case_distribution(risks, cfg)
-        if not solution.closed_form_valid:
+        # trials without a valid closed form are counted, not solved
+        solution = closed_form_worst_case(risks, cfg)
+        if solution is None or not solution.closed_form_valid:
             invalid += 1
             continue
         distribution, objective = oracle_worst_case(risks, cfg)

@@ -372,6 +372,27 @@ class TestOracleCommand:
         payload = json.loads(capsys.readouterr().out)
         assert payload["max_objective_gap"] <= 1e-6
 
+    def test_failed_trials_are_counted_not_solved(self, monkeypatch, capsys):
+        from codat import cli, dro_core
+
+        real_oracle = dro_core.oracle_worst_case
+        solved = []
+
+        def counting_oracle(risks, cfg):
+            solved.append(risks.size)
+            return real_oracle(risks, cfg)
+
+        def no_fallback(risks, cfg):
+            raise AssertionError("a trial without a valid closed form was solved")
+
+        monkeypatch.setattr(cli, "oracle_worst_case", counting_oracle)
+        monkeypatch.setattr(dro_core, "oracle_worst_case", no_fallback)
+        args = ["oracle", "--trials", "30", "--classes", "10", "--eta", "2.0", "--seed", "7"]
+        assert main(args) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["closed_form_invalid"] > 0
+        assert len(solved) == payload["closed_form_valid"]
+
     def test_zero_trials_rejected(self, capsys):
         assert main(["oracle", "--trials", "0"]) == 2
         assert "trials" in capsys.readouterr().err

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -11,6 +12,7 @@ from codat.dro_core import (
     ClassRiskVector,
     ProbabilityDistribution,
     chi_square_divergence,
+    closed_form_worst_case,
     equivalent_objective,
     equivalent_objective_gradient,
     lagrange_multiplier_star,
@@ -189,6 +191,25 @@ def test_worst_case_negative_entry_falls_back_to_oracle():
     # the constrained optimum drops the zero-risk class entirely
     assert sol.objective_value == pytest.approx(10.0, abs=1e-6)
     np.testing.assert_allclose(sol.distribution.weights, [0.0, 0.5, 0.5], atol=1e-6)
+
+
+def test_closed_form_is_none_exactly_where_the_oracle_takes_over():
+    rng = np.random.default_rng(23)
+    fallbacks = 0
+    for _ in range(40):
+        k = int(rng.integers(2, 8))
+        risks = ClassRiskVector(rng.uniform(0, 5, size=k))
+        cfg = AmbiguityConfig(uniform_distribution(k), eta=float(rng.uniform(0.05, 0.9 * (k - 1))))
+        closed = closed_form_worst_case(risks, cfg)
+        sol = worst_case_distribution(risks, cfg)
+        if closed is None:
+            fallbacks += 1
+            assert not sol.closed_form_valid and not sol.degenerate
+        else:
+            assert closed.distribution.weights.tobytes() == sol.distribution.weights.tobytes()
+            assert (closed.objective_value, closed.alpha_star) == (sol.objective_value, sol.alpha_star)
+            assert (closed.closed_form_valid, closed.degenerate) == (sol.closed_form_valid, sol.degenerate)
+    assert fallbacks > 0
 
 
 def test_worst_case_weights_grow_with_risk():
@@ -388,7 +409,88 @@ def test_oracle_rejects_bad_settings():
         oracle_worst_case(risks, cfg, step_size=0.0)
 
 
+def _pinned_oracle_cases():
+    # K from 2 to 12, a Dirichlet center on every third case, and radii
+    # alternating at 0.6 and 1.6 times the closed form's failure point
+    # variance / (mean - min risk)^2 (clamped below the Dirac bound)
+    rng = np.random.default_rng(2016)
+    cases = []
+    for index in range(40):
+        k = 2 + index % 11
+        if index % 3 == 2:
+            p0 = ProbabilityDistribution(rng.dirichlet(np.full(k, 4.0)))
+        else:
+            p0 = uniform_distribution(k)
+        risks = ClassRiskVector(rng.uniform(0.0, 5.0, size=k))
+        mean, variance = mean_variance_under(p0, risks)
+        critical = variance / (mean - float(np.min(risks.risks))) ** 2
+        eta = min((0.6 if index % 2 == 0 else 1.6) * critical, (k - 1) * 0.999)
+        cases.append((risks, AmbiguityConfig(p0, eta), eta > critical))
+    return cases
+
+
+def test_oracle_output_bytes_are_pinned():
+    # weights and objective of every case, as little-endian float64; the
+    # digest was computed with whole-array numpy iterates
+    cases = _pinned_oracle_cases()
+    assert sum(beyond for _, _, beyond in cases) == 18
+    digest = hashlib.sha256()
+    for risks, cfg, _ in cases:
+        dist, objective = oracle_worst_case(risks, cfg)
+        digest.update(dist.weights.astype("<f8").tobytes())
+        digest.update(np.float64(objective).astype("<f8").tobytes())
+    assert digest.hexdigest() == (
+        "f822446120553ba32bf8d1d4277c2fb35cea3ab2e9a7af6e332ce5f646acd735"
+    )
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 2: projected ascent stalls inside the ball when the top "
+    "risks nearly tie; the exact best response replaces it",
+)
+def test_fallback_reaches_the_best_response_on_a_near_tie():
+    cfg = AmbiguityConfig(uniform_distribution(3), eta=1.5)
+    sol = worst_case_distribution(ClassRiskVector([0.48, 1.33, 1.32]), cfg)
+    # The best response drops class 1 and spends the rest of the ball on the
+    # two-class face: p = (0, 1/2 + t, 1/2 - t) with divergence
+    # 1/3 + 3 ((1/6 + t)^2 + (1/6 - t)^2) = 1.5, so t = sqrt(1/6).
+    best_objective = 0.5 * (1.33 + 1.32) + 0.01 * math.sqrt(1.0 / 6.0)
+    assert sol.objective_value == pytest.approx(best_objective, abs=1e-6)
+
+
 # ---------------------------------------------------------- projection
+
+
+def _numpy_simplex_reference(arr):
+    # the whole-array sort and threshold, kept as the bit-level reference
+    u = np.sort(arr)[::-1]
+    cumulative = np.cumsum(u)
+    indices = np.arange(1, arr.size + 1)
+    rho = indices[u + (1.0 - cumulative) / indices > 0][-1]
+    theta = (cumulative[rho - 1] - 1.0) / rho
+    return np.maximum(arr - theta, 0.0)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(
+    st.lists(
+        st.one_of(
+            st.sampled_from([0.0, -0.0, 1.0, 0.5, -0.5, 1.0 / 3.0, 2.0]),
+            st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False),
+        ),
+        min_size=2,
+        max_size=40,
+    )
+)
+def test_simplex_projection_equals_numpy_reference_bit_for_bit(values):
+    arr = np.array(values, dtype=np.float64)
+    expected = _numpy_simplex_reference(arr)
+    got = simplex_project(values).weights
+    assert np.array_equal(got, expected)
+    # signed zeros too
+    assert got.tobytes() == expected.tobytes()
+
 
 
 def test_simplex_projection_fixes_points_already_on_simplex():

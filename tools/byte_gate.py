@@ -13,7 +13,9 @@ scratch directory with single-threaded BLAS, on small toy3 runs:
   per-batch attack seeds `(seed, idx)` of three 512-row batches, and the
   stacking of those batches into `adversarial.csv`, are hashed;
 - `sweep --etas 0,0.3,1.5`;
-- two `oracle` runs;
+- three `oracle` runs: a default, a tiny radius, and `oracle_readme`, the
+  README's own command (`--trials 200 --classes 10 --eta 2.0 --seed 7`),
+  whose radii reach past the closed form's failure point;
 - `--print-config` for train, evaluate, attack and sweep.
 
 Fields outside the determinism contract are blanked before hashing:
@@ -103,6 +105,13 @@ MATRIX = [
     (
         "oracle_small_eta",
         ["oracle", "--trials", "20", "--eta", "0.0001", "--seed", "5", "--out", "oracle/small.json"],
+    ),
+    (
+        "oracle_readme",
+        [
+            "oracle", "--trials", "200", "--classes", "10", "--eta", "2.0", "--seed", "7",
+            "--out", "oracle/readme.json",
+        ],
     ),
     ("print_config_train", ["train", *SIZE, "--method", "weighted", "--print-config"]),
     ("print_config_evaluate", ["evaluate", "--checkpoint", CHECKPOINT, "--print-config"]),
