@@ -18,19 +18,19 @@ from pathlib import Path
 
 import numpy as np
 
-from .attacks import AttackConfig, pgd_attack
-from .data import Dataset, batch_iter, gen_gaussian_mixture, load_csv, load_idx, save_csv, toy3_spec
+from .attacks import AttackConfig
+from .data import Dataset, gen_gaussian_mixture, load_csv, load_idx, save_csv, toy3_spec
 from .dro_core import (
     AmbiguityConfig,
     ClassRiskVector,
     ProbabilityDistribution,
-    closed_form_worst_case,
-    equivalent_objective,
+    closed_form,
     oracle_worst_case,
     uniform_distribution,
 )
 from .metrics import (
     EvalReport,
+    attacked_batches,
     confusion_to_csv,
     evaluate,
     fec_rows,
@@ -394,11 +394,8 @@ def cmd_attack(args: argparse.Namespace) -> int:
     adv_correct = 0
     nat_loss = 0.0
     adv_loss = 0.0
-    max_shift = 0.0
-    for idx, batch in enumerate(batch_iter(data, 512, seed=0, shuffle=False)):
-        adv = pgd_attack(model, batch, attack, seed=(resolved["seed"], idx))
+    for batch, adv in attacked_batches(model, data, attack, resolved["seed"]):
         adv_rows.append(adv)
-        max_shift = max(max_shift, float(np.max(np.abs(adv - batch.features), initial=0.0)))
         nat_logits = forward(model, batch)
         adv_logits = forward(model, LabeledBatch(adv, batch.labels))
         nat_loss += float(np.sum(cross_entropy_per_example(nat_logits, batch.labels)))
@@ -406,6 +403,7 @@ def cmd_attack(args: argparse.Namespace) -> int:
         nat_correct += int(np.sum(np.argmax(nat_logits, axis=1) + 1 == batch.labels))
         adv_correct += int(np.sum(np.argmax(adv_logits, axis=1) + 1 == batch.labels))
     features = np.vstack(adv_rows)
+    max_shift = float(np.max(np.abs(features - data.features), initial=0.0))
     out_dir = Path(args.out) if args.out else Path(args.checkpoint).parent
     out_dir.mkdir(parents=True, exist_ok=True)
     save_csv(Dataset(features, data.labels, data.split), out_dir / "adversarial.csv")
@@ -491,17 +489,14 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         risks = ClassRiskVector(rng.uniform(0.0, 5.0, size=num_classes))
         cfg = AmbiguityConfig(uniform_distribution(num_classes), eta)
         # trials without a valid closed form are counted, not solved
-        solution = closed_form_worst_case(risks, cfg)
-        if solution is None or not solution.closed_form_valid:
+        form = closed_form(risks, cfg)
+        if not form.valid:
             invalid += 1
             continue
         distribution, objective = oracle_worst_case(risks, cfg)
-        max_objective_gap = max(
-            max_objective_gap, abs(objective - equivalent_objective(risks, cfg))
-        )
+        max_objective_gap = max(max_objective_gap, abs(objective - form.objective))
         max_distribution_gap = max(
-            max_distribution_gap,
-            float(np.max(np.abs(distribution.weights - solution.distribution.weights))),
+            max_distribution_gap, float(np.max(np.abs(distribution.weights - form.gradient)))
         )
     payload = {
         "trials": args.trials,

@@ -4,10 +4,11 @@ Solves the inner problem
 
     maximize_P  E_P[R]   subject to   chi2(P, P0) <= eta,  P on the simplex
 
-for a discrete risk vector R over K classes.  The closed-form maximizer,
-its Lagrange multiplier, the deterministic equivalent objective
-mean + sqrt(eta * variance), and an independent projected-gradient-ascent
-oracle are all exposed as pure functions over immutable inputs.
+for a discrete risk vector R over K classes.  `closed_form` derives the
+closed-form maximizer, its multiplier and the deterministic equivalent
+mean + sqrt(eta * variance) with its gradient from one computation of the
+moments; `worst_case_distribution` adds the maximizer, from an independent
+projected-gradient-ascent oracle where the closed form goes negative.
 
 The oracle and the simplex projection run their elementwise work on Python
 floats.  For the class counts this package trains on (K <= 12) one ascent
@@ -24,7 +25,7 @@ faster at K = 3 and 1.7x at K = 10, breaks even near K = 30, and is about
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -36,6 +37,10 @@ ZERO_VARIANCE_GUARD = 1e-12
 
 # Feasibility tolerance for the oracle's alternating projection.
 _FEASIBILITY_TOL = 1e-9
+
+# Projected ascent runs at most this many steps, starting at this step size.
+_ORACLE_ITERATIONS = 5000
+_ORACLE_STEP = 0.01
 
 
 def _as_readonly(values) -> np.ndarray:
@@ -120,26 +125,45 @@ class AmbiguityConfig:
             )
         object.__setattr__(self, "eta", eta)
 
-    @property
-    def num_classes(self) -> int:
-        return self.p0.size
+
+@dataclass(frozen=True)
+class ClosedForm:
+    """The closed form at (risks, cfg), from one computation of the moments.
+
+    `objective` is the deterministic equivalent mean + sqrt(eta * variance)
+    and `gradient` its gradient in the risks: the closed-form maximizer, or
+    p0 for constant risks (`degenerate`).  `valid` means the gradient is the
+    worst case: the risks are not constant and no entry is negative.
+    `multiplier` is alpha*, 0.0 where undefined (constant risks, zero radius).
+    """
+
+    mean: float
+    objective: float
+    gradient: np.ndarray
+    multiplier: float
+    degenerate: bool
+    valid: bool
 
 
 @dataclass(frozen=True)
 class WorstCaseSolution:
-    """Result of the inner maximization.
-
-    `closed_form_valid` is False when the analytic maximizer had a negative
-    entry and the numeric oracle supplied the constrained optimum instead.
-    `degenerate` marks constant-risk inputs where every feasible distribution
-    is optimal and the center is returned.
-    """
+    """The maximizer and its objective, with the closed form they came from."""
 
     distribution: ProbabilityDistribution
     objective_value: float
-    alpha_star: float
-    closed_form_valid: bool
-    degenerate: bool = field(default=False)
+    closed_form: ClosedForm
+
+    @property
+    def alpha_star(self) -> float:
+        return self.closed_form.multiplier
+
+    @property
+    def closed_form_valid(self) -> bool:
+        return self.closed_form.valid
+
+    @property
+    def degenerate(self) -> bool:
+        return self.closed_form.degenerate
 
 
 def _check_paired(p0: ProbabilityDistribution, risks: ClassRiskVector) -> None:
@@ -192,28 +216,32 @@ def mean_variance_under(p0: ProbabilityDistribution, risks: ClassRiskVector) -> 
     return mean, max(variance, 0.0)
 
 
+def closed_form(risks: ClassRiskVector, cfg: AmbiguityConfig) -> ClosedForm:
+    """Every closed-form quantity at (risks, cfg), from one pass over the moments."""
+    mean, variance = mean_variance_under(cfg.p0, risks)
+    w, r = cfg.p0.weights, risks.risks
+    degenerate = variance < ZERO_VARIANCE_GUARD
+    gradient = w.copy() if degenerate else w + w * math.sqrt(cfg.eta / variance) * (r - mean)
+    objective = mean + math.sqrt(cfg.eta * variance)
+    multiplier = 0.0 if degenerate or cfg.eta == 0.0 else 0.5 * math.sqrt(variance / cfg.eta)
+    valid = not degenerate and bool(np.min(gradient) >= 0.0)
+    return ClosedForm(mean, objective, gradient, multiplier, degenerate, valid)
+
+
 def equivalent_objective(risks: ClassRiskVector, cfg: AmbiguityConfig) -> float:
     """Deterministic equivalent of the worst case: mean + sqrt(eta * variance)."""
-    mean, variance = mean_variance_under(cfg.p0, risks)
-    return mean + math.sqrt(cfg.eta * variance)
+    return closed_form(risks, cfg).objective
 
 
 def equivalent_objective_gradient(risks: ClassRiskVector, cfg: AmbiguityConfig) -> np.ndarray:
     """Gradient of `equivalent_objective` with respect to the risk vector.
 
-    Analytically this equals the worst-case distribution
-    p0 * (1 + sqrt(eta / variance) * (r - mean)), so the trainer can
-    backpropagate the scalar objective by re-weighting per-class risk
-    gradients.  For constant risks the subgradient convention returns p0.
-    Entries may be negative when the closed form is invalid; the finite
-    difference identity still holds there, only the worst-case
-    interpretation is lost.
+    It equals the closed-form worst case (p0 for constant risks), so the
+    trainer backpropagates the objective by re-weighting per-class risk
+    gradients.  Entries may be negative where the closed form is invalid;
+    it is still the gradient there, but no longer a distribution.
     """
-    mean, variance = mean_variance_under(cfg.p0, risks)
-    w, r = cfg.p0.weights, risks.risks
-    if variance < ZERO_VARIANCE_GUARD:
-        return w.copy()
-    return w + w * math.sqrt(cfg.eta / variance) * (r - mean)
+    return closed_form(risks, cfg).gradient
 
 
 def lagrange_multiplier_star(risks: ClassRiskVector, cfg: AmbiguityConfig) -> float:
@@ -222,67 +250,45 @@ def lagrange_multiplier_star(risks: ClassRiskVector, cfg: AmbiguityConfig) -> fl
     The likelihood ratio it induces, L(xi) = 1 + (r_xi - mean) / (2 alpha*),
     reproduces the closed-form maximizer as p0 * L.
     """
-    mean, variance = mean_variance_under(cfg.p0, risks)
-    del mean
-    if variance < ZERO_VARIANCE_GUARD:
-        raise ValueError("alpha* is undefined for constant risks (zero variance)")
-    if cfg.eta <= 0.0:
-        raise ValueError("alpha* is undefined for a zero ambiguity radius")
-    return 0.5 * math.sqrt(variance / cfg.eta)
-
-
-def closed_form_worst_case(risks: ClassRiskVector, cfg: AmbiguityConfig) -> WorstCaseSolution | None:
-    """The closed-form maximizer p0 * (1 + sqrt(eta / variance) * (r - mean)).
-
-    It is exact whenever all its entries are nonnegative.  Returns None when
-    an entry is negative: the derivation's dropped nonnegativity constraint
-    is binding there and only a numeric solver finds the constrained
-    optimum.  Constant risks return the center with `degenerate = True` and
-    `closed_form_valid = False`.
-    """
-    _check_paired(cfg.p0, risks)
-    mean, variance = mean_variance_under(cfg.p0, risks)
-    if variance < ZERO_VARIANCE_GUARD:
-        return WorstCaseSolution(
-            distribution=cfg.p0,
-            objective_value=mean,
-            alpha_star=0.0,
-            closed_form_valid=False,
-            degenerate=True,
-        )
-    if cfg.eta == 0.0:
-        return WorstCaseSolution(cfg.p0, mean, 0.0, True)
-    w, r = cfg.p0.weights, risks.risks
-    candidate = w + w * math.sqrt(cfg.eta / variance) * (r - mean)
-    if np.min(candidate) < 0.0:
-        return None
-    objective = mean + math.sqrt(cfg.eta * variance)
-    alpha = 0.5 * math.sqrt(variance / cfg.eta)
-    return WorstCaseSolution(ProbabilityDistribution(candidate), objective, alpha, True)
+    multiplier = closed_form(risks, cfg).multiplier
+    if multiplier == 0.0:
+        raise ValueError("alpha* is undefined for constant risks or a zero ambiguity radius")
+    return multiplier
 
 
 def worst_case_distribution(risks: ClassRiskVector, cfg: AmbiguityConfig) -> WorstCaseSolution:
     """Maximizer of E_P[R] over the chi-square ball intersected with the simplex.
 
-    The closed form (`closed_form_worst_case`) where it holds; otherwise the
-    numeric oracle supplies the constrained optimum
-    (`closed_form_valid = False`).
+    The center for constant risks or a zero radius, the closed form where it
+    is valid, and otherwise the numeric oracle's constrained optimum.
     """
-    solution = closed_form_worst_case(risks, cfg)
-    if solution is not None:
-        return solution
+    form = closed_form(risks, cfg)
+    if form.degenerate or cfg.eta == 0.0:
+        return WorstCaseSolution(cfg.p0, form.mean, form)
+    if form.valid:
+        return WorstCaseSolution(ProbabilityDistribution(form.gradient), form.objective, form)
     dist, objective = oracle_worst_case(risks, cfg)
-    return WorstCaseSolution(dist, objective, lagrange_multiplier_star(risks, cfg), False)
+    return WorstCaseSolution(dist, objective, form)
 
 
 def simplex_project(v) -> ProbabilityDistribution:
-    """Euclidean projection onto the probability simplex (sort and threshold)."""
+    """Euclidean projection onto the probability simplex (sort and threshold).
+
+    Finite input fails only where float64 rounding loses unit mass (entries
+    from about 2**53 in magnitude); it is rejected with its largest magnitude.
+    """
     arr = np.asarray(v, dtype=np.float64)
     if arr.ndim != 1 or arr.size < 2:
         raise ValueError(f"need a 1-d vector of length >= 2, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise ValueError("cannot project a non-finite vector")
-    return ProbabilityDistribution(_simplex_project_raw(arr.tolist()))
+    try:
+        return ProbabilityDistribution(_simplex_project_raw(arr.tolist()))
+    except ValueError:
+        raise ValueError(
+            f"cannot project onto the simplex: largest magnitude {float(np.max(np.abs(arr)))} "
+            "is too large for float64 to resolve unit mass"
+        ) from None
 
 
 def _simplex_project_raw(values: list[float]) -> list[float]:
@@ -316,35 +322,29 @@ def _project_ambiguity(point: list[float], p0: list[float], eta: float) -> list[
 
 
 def oracle_worst_case(
-    risks: ClassRiskVector,
-    cfg: AmbiguityConfig,
-    iterations: int = 5000,
-    step_size: float = 0.01,
+    risks: ClassRiskVector, cfg: AmbiguityConfig
 ) -> tuple[ProbabilityDistribution, float]:
     """Projected gradient ascent on E_P[R] over the chi-square ball.
 
     Independent numeric check of `worst_case_distribution`, and the fallback
-    solver when the closed form goes negative.  `step_size` is the initial
-    step; once iterates stop improving the step anneals by 0.3 and ascent
-    resumes from the best feasible point, because a fixed step stalls at
-    O(step) error whenever the optimum has entries near the simplex boundary.
+    solver when the closed form goes negative.  Ascent takes at most
+    _ORACLE_ITERATIONS steps from step size _ORACLE_STEP; once iterates stop
+    improving the step anneals by 0.3 and ascent resumes from the best
+    feasible point, because a fixed step stalls at O(step) error whenever
+    the optimum has entries near the simplex boundary.
     Iterates are lists of Python floats (see the module docstring); the
     objective is `np.dot` against the risk array.
     """
-    if iterations < 1:
-        raise ValueError(f"need at least one iteration, got {iterations}")
-    if step_size <= 0.0:
-        raise ValueError(f"step size must be positive, got {step_size}")
     _check_paired(cfg.p0, risks)
     if cfg.eta == 0.0:
         return cfg.p0, float(np.dot(cfg.p0.weights, risks.risks))
     p0, r = cfg.p0.weights.tolist(), risks.risks.tolist()
-    step = float(step_size)
+    step = _ORACLE_STEP
     current = _project_ambiguity(p0, p0, cfg.eta)
     best = current
     best_objective = float(np.dot(current, risks.risks))
     stall = 0
-    for _ in range(iterations):
+    for _ in range(_ORACLE_ITERATIONS):
         candidate = _project_ambiguity([c + step * x for c, x in zip(current, r)], p0, cfg.eta)
         objective = float(np.dot(candidate, risks.risks))
         if objective > best_objective + 1e-15:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -96,13 +97,27 @@ def class_variance(per_class_accuracy) -> float:
     return float(np.mean((values - np.mean(values)) ** 2))
 
 
+def attacked_batches(
+    model: ModelParams, data: Dataset, attack: AttackConfig | None, seed: int
+) -> Iterator[tuple[LabeledBatch, np.ndarray]]:
+    """(batch, features) for each unshuffled 512-row batch of `data`.
+
+    With an attack the features are PGD's output under seed (seed, batch index).
+    """
+    for idx, batch in enumerate(batch_iter(data, _EVAL_BATCH, seed=0, shuffle=False)):
+        if attack is None:
+            yield batch, batch.features
+        else:
+            yield batch, pgd_attack(model, batch, attack, seed=(seed, idx))
+
+
 def evaluate(
     model: ModelParams, data: Dataset, attack: AttackConfig | None = None, seed: int = 0
 ) -> EvalReport:
     """Accuracy report on `data`, optionally under the PGD attack.
 
-    Deterministic for a fixed seed; per-batch attack seeds derive from
-    (seed, batch index).  Every class must appear in the data.
+    Deterministic for a fixed seed; the batches and their attack seeds come
+    from `attacked_batches`.  Every class must appear in the data.
     """
     num_classes = data.num_classes
     counts = data.class_counts
@@ -110,10 +125,7 @@ def evaluate(
     if missing.size:
         raise ValueError(f"class {missing[0] + 1} has no examples in the evaluation data")
     cells = []
-    for idx, batch in enumerate(batch_iter(data, _EVAL_BATCH, seed=0, shuffle=False)):
-        feats = batch.features
-        if attack is not None:
-            feats = pgd_attack(model, batch, attack, seed=(seed, idx))
+    for batch, feats in attacked_batches(model, data, attack, seed):
         predictions = np.argmax(forward(model, LabeledBatch(feats, batch.labels)), axis=1)
         if np.max(predictions) >= num_classes:
             raise ValueError(
@@ -124,8 +136,7 @@ def evaluate(
     confusion = np.bincount(np.concatenate(cells), minlength=num_classes * num_classes).reshape(
         num_classes, num_classes
     )
-    row_sums = confusion.sum(axis=1)
-    per_class = confusion.diagonal() / row_sums
+    per_class = confusion.diagonal() / counts
     average = float(confusion.trace() / data.size)
     return EvalReport(
         per_class_accuracy=per_class,

@@ -1,14 +1,14 @@
 """Training: one loop for the class-reweighted DRO trainer and three baselines.
 
-All four methods share the loop in `train`: attack the minibatch, compute
-per-example adversarial cross-entropy, reduce it to a scalar batch loss
-through a method-specific class weighting (its `STEP_FNS` entry), and
-backpropagate by distributing each class weight over that class's examples.
-The DRO trainer weights classes by the worst-case distribution of the
-chi-square ball (closed form from dro_core); standard adversarial training
-uses the plain example mean; fixed-class-weighted training uses a static
-simplex weight vector; and worst-class training follows the subgradient of
-the max class risk.
+All four methods share the loop in `train`: attack the minibatch, reduce
+the per-example adversarial cross-entropy with `class_avg_loss` to class
+risks and counts, turn those into a scalar batch loss through a
+method-specific class weighting (its `STEP_FNS` entry), and backpropagate by
+distributing each class weight over that class's examples.  The DRO trainer
+reads its loss, routing row and history row from one `worst_case_distribution`
+call per batch; standard adversarial training uses the plain example mean;
+fixed-class-weighted training uses a static simplex weight vector; and
+worst-class training follows the subgradient of the max class risk.
 """
 
 from __future__ import annotations
@@ -26,8 +26,6 @@ from .dro_core import (
     AmbiguityConfig,
     ClassRiskVector,
     ProbabilityDistribution,
-    equivalent_objective,
-    equivalent_objective_gradient,
     uniform_distribution,
     worst_case_distribution,
 )
@@ -152,10 +150,10 @@ class TrainHistory:
 def class_avg_loss(
     per_example_losses: np.ndarray, labels: np.ndarray, num_classes: int
 ) -> tuple[ClassRiskVector, np.ndarray]:
-    """Average loss per class over the batch.
+    """Average loss per class over the batch, and the class counts.
 
-    Absent classes get risk 0 and present-mask False; downstream code must
-    exclude them rather than read the placeholder zeros.
+    Absent classes get risk 0 and count 0; downstream code must exclude
+    them rather than read the placeholder zeros.
     """
     losses = np.asarray(per_example_losses, dtype=np.float64)
     labels = np.asarray(labels)
@@ -173,7 +171,7 @@ def class_avg_loss(
     present = counts > 0
     risks = np.zeros(num_classes)
     risks[present] = sums[present] / counts[present]
-    return ClassRiskVector(risks), present
+    return ClassRiskVector(risks), counts
 
 
 def _spread_over_examples(
@@ -184,43 +182,40 @@ def _spread_over_examples(
 
 
 # Step functions share one signature:
-#   step(config, adv_losses, labels, risks, present, counts)
+#   step(config, adv_losses, labels, risks, counts)
 #     -> (batch loss, per-example loss weights, class weight row, closed_form_valid)
-# `risks` and `present` come from class_avg_loss and `counts` are the class
-# counts of the batch; `closed_form_valid` is None for every method but codat.
+# `risks` and the class counts `counts` (a class is present when its count is
+# positive) come from class_avg_loss; `closed_form_valid` is None but for codat.
 
 
-def _codat_step(config, adv_losses, labels, risks, present, counts):
+def _codat_step(config, adv_losses, labels, risks, counts):
     # the ball is centred on uniform over the classes present in the batch
-    indices = np.nonzero(present)[0]
-    class_row = np.zeros(counts.size)
+    indices = np.nonzero(counts)[0]
     if indices.size == 1:
         # a single-class batch has no ball and degenerates to that class
-        class_row[indices[0]] = 1.0
-        loss = float(risks.risks[indices[0]])
-        return loss, _spread_over_examples(class_row, labels, counts), class_row, None
+        return _worst_class_step(config, adv_losses, labels, risks, counts)
     # a batch missing classes shrinks the Dirac bound; clamp just below it
     eta = min(config.eta, (indices.size - 1) * (1.0 - 1e-9))
     cfg = AmbiguityConfig(uniform_distribution(indices.size), eta)
-    sub = ClassRiskVector(risks.risks[indices])
-    solution = worst_case_distribution(sub, cfg)
+    solution = worst_case_distribution(ClassRiskVector(risks.risks[indices]), cfg)
     # history row: the feasible worst-case distribution; routing row: the
-    # exact objective gradient (they coincide when the closed form is valid,
-    # and only the gradient drives the update)
+    # gradient of the deterministic equivalent, the batch loss (they coincide
+    # when the closed form is valid, and only the gradient drives the update)
+    class_row = np.zeros(counts.size)
     class_row[indices] = solution.distribution.weights
     routing = np.zeros(counts.size)
-    routing[indices] = equivalent_objective_gradient(sub, cfg)
+    routing[indices] = solution.closed_form.gradient
     example_weights = _spread_over_examples(routing, labels, counts)
-    return equivalent_objective(sub, cfg), example_weights, class_row, solution.closed_form_valid
+    return solution.closed_form.objective, example_weights, class_row, solution.closed_form_valid
 
 
-def _standard_step(config, adv_losses, labels, risks, present, counts):
+def _standard_step(config, adv_losses, labels, risks, counts):
     size = adv_losses.size
     return float(np.mean(adv_losses)), np.full(size, 1.0 / size), counts / size, None
 
 
-def _weighted_step(config, adv_losses, labels, risks, present, counts):
-    masked = np.where(present, config.fixed_weights.weights, 0.0)
+def _weighted_step(config, adv_losses, labels, risks, counts):
+    masked = np.where(counts > 0, config.fixed_weights.weights, 0.0)
     mass = float(np.sum(masked))
     if mass <= 0.0:
         raise ValueError("fixed weights place no mass on the classes in this batch")
@@ -229,13 +224,13 @@ def _weighted_step(config, adv_losses, labels, risks, present, counts):
     return loss, _spread_over_examples(class_row, labels, counts), class_row, None
 
 
-def _riskiest_class(risks: ClassRiskVector, present: np.ndarray) -> int:
-    # argmax takes the lowest index on ties
-    return int(np.argmax(np.where(present, risks.risks, -np.inf)))
+def _riskiest_class(risks: ClassRiskVector, counts: np.ndarray) -> int:
+    # the highest risk among present classes; argmax takes the lowest index on ties
+    return int(np.argmax(np.where(counts > 0, risks.risks, -np.inf)))
 
 
-def _worst_class_step(config, adv_losses, labels, risks, present, counts):
-    worst = _riskiest_class(risks, present)
+def _worst_class_step(config, adv_losses, labels, risks, counts):
+    worst = _riskiest_class(risks, counts)
     class_row = np.zeros(counts.size)
     class_row[worst] = 1.0
     loss = float(risks.risks[worst])
@@ -352,10 +347,9 @@ def train(config: TrainConfig, train_data: Dataset, eval_data: Dataset | None = 
             adv_batch = LabeledBatch(adv_features, batch.labels)
             adv_losses = cross_entropy_per_example(forward(model, adv_batch), batch.labels)
             natural_losses = cross_entropy_per_example(forward(model, batch), batch.labels)
-            risks, present = class_avg_loss(adv_losses, batch.labels, num_classes)
-            counts = np.bincount(batch.labels - 1, minlength=num_classes)
+            risks, counts = class_avg_loss(adv_losses, batch.labels, num_classes)
             loss, example_weights, class_row, valid = step_fn(
-                config, adv_losses, batch.labels, risks, present, counts
+                config, adv_losses, batch.labels, risks, counts
             )
             if not np.isfinite(loss):
                 raise RuntimeError(
@@ -367,12 +361,10 @@ def train(config: TrainConfig, train_data: Dataset, eval_data: Dataset | None = 
             batches += 1
             loss_sum += loss
             natural_sum += float(np.mean(natural_losses))
-            risk_sums += np.bincount(
-                batch.labels - 1, weights=adv_losses, minlength=num_classes
-            )
+            risk_sums += np.bincount(batch.labels - 1, weights=adv_losses, minlength=num_classes)
             risk_counts += counts
             weight_rows += class_row
-            if _riskiest_class(risks, present) == int(np.argmax(class_row)):
+            if _riskiest_class(risks, counts) == int(np.argmax(class_row)):
                 agreement_hits += 1
             if valid is not None:
                 codat_batches += 1

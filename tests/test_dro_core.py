@@ -12,7 +12,7 @@ from codat.dro_core import (
     ClassRiskVector,
     ProbabilityDistribution,
     chi_square_divergence,
-    closed_form_worst_case,
+    closed_form,
     equivalent_objective,
     equivalent_objective_gradient,
     lagrange_multiplier_star,
@@ -193,23 +193,37 @@ def test_worst_case_negative_entry_falls_back_to_oracle():
     np.testing.assert_allclose(sol.distribution.weights, [0.0, 0.5, 0.5], atol=1e-6)
 
 
-def test_closed_form_is_none_exactly_where_the_oracle_takes_over():
+def test_closed_form_is_invalid_exactly_where_the_oracle_takes_over(monkeypatch):
+    from codat import dro_core
+
+    solved = []
+
+    def counting_oracle(risks, cfg):
+        solved.append(risks)
+        return oracle_worst_case(risks, cfg)
+
+    monkeypatch.setattr(dro_core, "oracle_worst_case", counting_oracle)
     rng = np.random.default_rng(23)
     fallbacks = 0
     for _ in range(40):
         k = int(rng.integers(2, 8))
         risks = ClassRiskVector(rng.uniform(0, 5, size=k))
         cfg = AmbiguityConfig(uniform_distribution(k), eta=float(rng.uniform(0.05, 0.9 * (k - 1))))
-        closed = closed_form_worst_case(risks, cfg)
+        form = closed_form(risks, cfg)
         sol = worst_case_distribution(risks, cfg)
-        if closed is None:
+        # the solution carries the closed form it was built from
+        assert sol.closed_form.gradient.tobytes() == form.gradient.tobytes()
+        assert (sol.closed_form.objective, sol.closed_form.mean) == (form.objective, form.mean)
+        if not form.valid:
             fallbacks += 1
             assert not sol.closed_form_valid and not sol.degenerate
+            assert solved and solved[-1] is risks
         else:
-            assert closed.distribution.weights.tobytes() == sol.distribution.weights.tobytes()
-            assert (closed.objective_value, closed.alpha_star) == (sol.objective_value, sol.alpha_star)
-            assert (closed.closed_form_valid, closed.degenerate) == (sol.closed_form_valid, sol.degenerate)
+            assert form.gradient.tobytes() == sol.distribution.weights.tobytes()
+            assert (form.objective, form.multiplier) == (sol.objective_value, sol.alpha_star)
+            assert (form.valid, form.degenerate) == (sol.closed_form_valid, sol.degenerate)
     assert fallbacks > 0
+    assert len(solved) == fallbacks
 
 
 def test_worst_case_weights_grow_with_risk():
@@ -401,14 +415,6 @@ def test_oracle_iterate_is_always_feasible():
         assert objective == pytest.approx(float(np.dot(dist.weights, risks.risks)), abs=1e-12)
 
 
-def test_oracle_rejects_bad_settings():
-    risks, cfg = reference_instance()
-    with pytest.raises(ValueError):
-        oracle_worst_case(risks, cfg, iterations=0)
-    with pytest.raises(ValueError):
-        oracle_worst_case(risks, cfg, step_size=0.0)
-
-
 def _pinned_oracle_cases():
     # K from 2 to 12, a Dirichlet center on every third case, and radii
     # alternating at 0.6 and 1.6 times the closed form's failure point
@@ -526,6 +532,19 @@ def test_simplex_projection_idempotent_and_nearest():
 def test_simplex_projection_rejects_nonfinite():
     with pytest.raises(ValueError):
         simplex_project([np.nan, 0.5])
+
+
+def test_simplex_projection_names_the_magnitude_it_cannot_resolve():
+    # 2**53 still projects onto the first vertex; from 2**53 + 2 the sort and
+    # threshold rounding loses unit mass, and the error names the magnitude
+    np.testing.assert_array_equal(simplex_project([2.0**53, 0.0]).weights, [1.0, 0.0])
+    np.testing.assert_array_equal(simplex_project([-1e17, -1e17, 0.5]).weights, [0.0, 0.0, 1.0])
+    with pytest.raises(ValueError, match=r"largest magnitude 9007199254740994\.0 is too large"):
+        simplex_project([2.0**53 + 2, 0.0])
+    with pytest.raises(ValueError, match=r"largest magnitude 1e\+17 is too large"):
+        simplex_project([1e17, 0.0])
+    with pytest.raises(ValueError, match=r"largest magnitude 1e\+17 is too large"):
+        simplex_project([-1e17, -1e17])
 
 
 # ------------------------------------------------- mixed random sweeps

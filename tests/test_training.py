@@ -58,10 +58,9 @@ def make_config(method, **overrides):
 
 def run_step(method, losses, labels, num_classes, **overrides):
     """One STEP_FNS call with the batch statistics the training loop passes."""
-    risks, present = class_avg_loss(losses, labels, num_classes)
-    counts = np.bincount(labels - 1, minlength=num_classes)
+    risks, counts = class_avg_loss(losses, labels, num_classes)
     config = make_config(method, **overrides)
-    return STEP_FNS[method](config, losses, labels, risks, present, counts)
+    return STEP_FNS[method](config, losses, labels, risks, counts)
 
 
 class TestTrainConfig:
@@ -92,9 +91,10 @@ class TestClassAvgLoss:
     def test_hand_example_with_absent_class(self):
         losses = np.array([1.0, 2.0, 3.0, 4.0])
         labels = np.array([1, 1, 2, 3])
-        risks, present = class_avg_loss(losses, labels, 4)
+        risks, counts = class_avg_loss(losses, labels, 4)
         assert np.array_equal(risks.risks, [1.5, 3.0, 4.0, 0.0])
-        assert np.array_equal(present, [True, True, True, False])
+        assert np.array_equal(counts, [2, 1, 1, 0])
+        assert np.array_equal(counts > 0, [True, True, True, False])
 
     def test_count_weighted_risks_recover_mean(self):
         rng = np.random.default_rng(11)
@@ -103,8 +103,8 @@ class TestClassAvgLoss:
             num_classes = int(rng.integers(2, 6))
             losses = rng.uniform(0.0, 4.0, size=size)
             labels = rng.integers(1, num_classes + 1, size=size)
-            risks, _ = class_avg_loss(losses, labels, num_classes)
-            counts = np.bincount(labels - 1, minlength=num_classes)
+            risks, counts = class_avg_loss(losses, labels, num_classes)
+            assert np.array_equal(counts, np.bincount(labels - 1, minlength=num_classes))
             assert np.dot(counts / size, risks.risks) == pytest.approx(
                 np.mean(losses), abs=1e-12
             )
@@ -400,6 +400,30 @@ class TestTrainingLoop:
         final_report = evaluate(final_model, eval_data, attack=SMALL_ATTACK, seed=5)
         best_report = evaluate(best_model, eval_data, attack=SMALL_ATTACK, seed=5)
         assert best_report.worst_class_accuracy >= final_report.worst_class_accuracy
+
+    def test_codat_batch_computes_the_moments_once(self, monkeypatch):
+        # one closed-form pass per batch: the loss, the routing row and the
+        # history row come from one solver call, also on fallback batches
+        from codat import dro_core, training
+
+        calls = {"moments": 0, "solver": 0}
+        real_moments, real_solver = dro_core.mean_variance_under, training.worst_case_distribution
+
+        def moments(*args):
+            calls["moments"] += 1
+            return real_moments(*args)
+
+        def solver(*args):
+            calls["solver"] += 1
+            return real_solver(*args)
+
+        monkeypatch.setattr(dro_core, "mean_variance_under", moments)
+        monkeypatch.setattr(training, "worst_case_distribution", solver)
+        config = make_config("codat", eta=1.5, epochs=1, batch_size=20)
+        _, history = train(config, small_dataset(per_class=40))
+        batches = 3 * 40 // 20
+        assert history.records[0].closed_form_fraction < 1.0
+        assert calls == {"moments": batches, "solver": batches}
 
     def test_dispatch_validates_method_field(self):
         assert sorted(STEP_FNS) == sorted(VALID_METHODS)

@@ -5,6 +5,9 @@ scratch directory with single-threaded BLAS, on small toy3 runs:
 
 - `train` for every method, codat at eta 0, 0.3 and 1.5, and codat with
   `--select-best`;
+- one epoch of codat at eta 1.5 on 2-row batches, so the codat step's
+  single-class batches and its radius clamp on two-class batches are hashed
+  (every batch of the runs above holds all three classes);
 - `train` on CSV splits (toy3 data written by `codat.data.save_csv`) and on
   a small IDX image/label pair packed with `struct`;
 - `evaluate` with `--attack pgd` and `--attack none`, and `attack`, on one
@@ -61,6 +64,14 @@ MATRIX = [
     ("train_codat_eta0.3", ["train", *SIZE, "--method", "codat", "--eta", "0.3"]),
     ("train_codat_eta1.5", ["train", *SIZE, "--method", "codat", "--eta", "1.5"]),
     ("train_codat_eta0", ["train", *SIZE, "--method", "codat", "--eta", "0"]),
+    (
+        "train_codat_eta1.5_batch2",
+        [
+            "train", "--preset", "toy3", "--epochs", "1", "--train-per-class", "60",
+            "--test-per-class", "40", "--batch-size", "2", "--method", "codat", "--eta", "1.5",
+            "--out-root", "batch2_runs",
+        ],
+    ),
     ("train_standard_at", ["train", *SIZE, "--method", "standard_at"]),
     (
         "train_weighted",
