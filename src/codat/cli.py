@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import os
 import sys
 import time
@@ -30,6 +29,7 @@ from .dro_core import (
 )
 from .metrics import (
     EvalReport,
+    artifact_json,
     attacked_batches,
     confusion_to_csv,
     evaluate,
@@ -299,18 +299,19 @@ def build_train_config(resolved: dict) -> TrainConfig:
         fixed_weights=weights,
         seed=resolved["seed"],
         hidden_dims=tuple(resolved["hidden_dims"]),
-        select_best=resolved["select_best"],
     )
+
+
+def _write_with_config(payload: dict, resolved: dict, path: Path) -> None:
+    """Write a JSON artifact that records the resolved configuration."""
+    config = {k: _format_value(v) for k, v in sorted(resolved.items())}
+    path.write_text(artifact_json({**payload, "resolved_config": config}), encoding="utf-8")
 
 
 def _write_eval(report: EvalReport, resolved: dict, out_dir: Path, tag: str) -> None:
     """Write eval_<tag>.json and confusion_<tag>.csv, then reload the report."""
-    payload = report.to_dict()
-    payload["resolved_config"] = {k: _format_value(v) for k, v in sorted(resolved.items())}
     report_path = out_dir / f"eval_{tag}.json"
-    with open(report_path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    _write_with_config(report.to_dict(), resolved, report_path)
     confusion_to_csv(report, out_dir / f"confusion_{tag}.csv")
     EvalReport.load(report_path)
 
@@ -340,7 +341,8 @@ def _train_run(resolved: dict, train_data: Dataset, test_data: Dataset):
     artifact is written and reloaded before this returns.
     """
     config = build_train_config(resolved)
-    model, history = train(config, train_data, test_data)
+    # given eval data, train returns its best epoch on it: select_best picks on the test split
+    model, history = train(config, train_data, test_data if resolved["select_best"] else None)
     out_dir = run_directory(resolved)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "config.txt").write_text(format_config(resolved), encoding="utf-8")
@@ -416,11 +418,8 @@ def cmd_attack(args: argparse.Namespace) -> int:
         "max_linf_shift": max_shift,
         "attack": attack.as_dict(),
         "seed": resolved["seed"],
-        "resolved_config": {k: _format_value(v) for k, v in sorted(resolved.items())},
     }
-    with open(out_dir / "attack_summary.json", "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    _write_with_config(summary, resolved, out_dir / "attack_summary.json")
     print(
         f"adversarial accuracy {summary['adversarial_accuracy']:.4f} "
         f"(natural {summary['natural_accuracy']:.4f}), max shift {max_shift:.6f}"
@@ -508,7 +507,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         "max_objective_gap": max_objective_gap,
         "max_distribution_gap": max_distribution_gap,
     }
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    text = artifact_json(payload)
     sys.stdout.write(text)
     if args.out:
         Path(args.out).parent.mkdir(parents=True, exist_ok=True)

@@ -131,10 +131,14 @@ class ClosedForm:
     """The closed form at (risks, cfg), from one computation of the moments.
 
     `objective` is the deterministic equivalent mean + sqrt(eta * variance)
-    and `gradient` its gradient in the risks: the closed-form maximizer, or
-    p0 for constant risks (`degenerate`).  `valid` means the gradient is the
-    worst case: the risks are not constant and no entry is negative.
-    `multiplier` is alpha*, 0.0 where undefined (constant risks, zero radius).
+    and `gradient` its gradient in the risks, which the trainer routes over
+    the per-class risk gradients: the closed-form worst case, or p0 for
+    constant risks (`degenerate`).  Where the closed form fails, entries go
+    negative; it is still the gradient there, but not a distribution.
+    `valid` means the gradient is the worst case: the risks are not constant
+    and no entry is negative.  `multiplier` is alpha*, 0.0 where undefined
+    (constant risks, zero radius); where valid, p0 * (1 + (r - mean) /
+    (2 alpha*)) rebuilds the maximizer.
     """
 
     mean: float
@@ -147,23 +151,15 @@ class ClosedForm:
 
 @dataclass(frozen=True)
 class WorstCaseSolution:
-    """The maximizer and its objective, with the closed form they came from."""
+    """The maximizer and its objective, with the closed form they came from.
+
+    Where the oracle replaced an invalid closed form, `closed_form` is still
+    that unconstrained candidate: its multiplier is not `distribution`'s.
+    """
 
     distribution: ProbabilityDistribution
     objective_value: float
     closed_form: ClosedForm
-
-    @property
-    def alpha_star(self) -> float:
-        return self.closed_form.multiplier
-
-    @property
-    def closed_form_valid(self) -> bool:
-        return self.closed_form.valid
-
-    @property
-    def degenerate(self) -> bool:
-        return self.closed_form.degenerate
 
 
 def _check_paired(p0: ProbabilityDistribution, risks: ClassRiskVector) -> None:
@@ -226,34 +222,6 @@ def closed_form(risks: ClassRiskVector, cfg: AmbiguityConfig) -> ClosedForm:
     multiplier = 0.0 if degenerate or cfg.eta == 0.0 else 0.5 * math.sqrt(variance / cfg.eta)
     valid = not degenerate and bool(np.min(gradient) >= 0.0)
     return ClosedForm(mean, objective, gradient, multiplier, degenerate, valid)
-
-
-def equivalent_objective(risks: ClassRiskVector, cfg: AmbiguityConfig) -> float:
-    """Deterministic equivalent of the worst case: mean + sqrt(eta * variance)."""
-    return closed_form(risks, cfg).objective
-
-
-def equivalent_objective_gradient(risks: ClassRiskVector, cfg: AmbiguityConfig) -> np.ndarray:
-    """Gradient of `equivalent_objective` with respect to the risk vector.
-
-    It equals the closed-form worst case (p0 for constant risks), so the
-    trainer backpropagates the objective by re-weighting per-class risk
-    gradients.  Entries may be negative where the closed form is invalid;
-    it is still the gradient there, but no longer a distribution.
-    """
-    return closed_form(risks, cfg).gradient
-
-
-def lagrange_multiplier_star(risks: ClassRiskVector, cfg: AmbiguityConfig) -> float:
-    """Optimal multiplier alpha* = sqrt(variance / eta) / 2 of the ball constraint.
-
-    The likelihood ratio it induces, L(xi) = 1 + (r_xi - mean) / (2 alpha*),
-    reproduces the closed-form maximizer as p0 * L.
-    """
-    multiplier = closed_form(risks, cfg).multiplier
-    if multiplier == 0.0:
-        raise ValueError("alpha* is undefined for constant risks or a zero ambiguity radius")
-    return multiplier
 
 
 def worst_case_distribution(risks: ClassRiskVector, cfg: AmbiguityConfig) -> WorstCaseSolution:

@@ -15,12 +15,13 @@ import json
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
 from .attacks import AttackConfig, pgd_attack
 from .data import Dataset, batch_iter
-from .nn_engine import LabeledBatch, ModelParams, forward
+from .nn_engine import LabeledBatch, ModelParams, check_artifact, forward
 
 REPORT_FORMAT = "codat-eval-report"
 REPORT_VERSION = 1
@@ -57,10 +58,11 @@ class EvalReport:
 
     @staticmethod
     def from_dict(payload: dict) -> "EvalReport":
-        if payload.get("format") != REPORT_FORMAT:
-            raise ValueError(f"not an evaluation report: format={payload.get('format')!r}")
-        if payload.get("version") != REPORT_VERSION:
-            raise ValueError(f"unsupported report version {payload.get('version')!r}")
+        keys = (
+            "per_class_accuracy", "average_accuracy", "worst_class_accuracy",
+            "class_variance", "confusion", "attack", "seed",
+        )
+        check_artifact(payload, "evaluation report", REPORT_FORMAT, REPORT_VERSION, keys)
         return EvalReport(
             per_class_accuracy=np.asarray(payload["per_class_accuracy"], dtype=np.float64),
             average_accuracy=float(payload["average_accuracy"]),
@@ -76,6 +78,11 @@ class EvalReport:
     def load(path) -> "EvalReport":
         with open(path, "r", encoding="utf-8") as fh:
             return EvalReport.from_dict(json.load(fh))
+
+
+def artifact_json(payload) -> str:
+    """The text of a JSON artifact: sorted keys, two-space indent, final newline."""
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
 def attack_tag(cfg: AttackConfig | None) -> str:
@@ -220,9 +227,7 @@ def fec_table_to_json(rows: list[FecRow], path) -> None:
     payload = [
         {"method": row.method, "avg": row.avg, "wst": row.wst, "fec": row.fec} for row in rows
     ]
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    Path(path).write_text(artifact_json(payload), encoding="utf-8")
 
 
 def confusion_to_csv(report: EvalReport, path) -> None:

@@ -286,14 +286,25 @@ def save_checkpoint(model: ModelParams, path, seed: int, config_hash: str) -> No
         fh.write("\n")
 
 
+def check_artifact(payload, kind: str, fmt: str, version: int, keys: tuple[str, ...]) -> None:
+    """Reject `payload` unless it is a JSON object of format `fmt` and `version` holding `keys`."""
+    if not isinstance(payload, dict):
+        raise ValueError(f"{kind} must be a JSON object, got {type(payload).__name__}")
+    if payload.get("format") != fmt:
+        raise ValueError(f"{kind} format must be {fmt!r}, got {payload.get('format')!r}")
+    if payload.get("version") != version:
+        raise ValueError(f"unsupported {kind} version {payload.get('version')!r}")
+    missing = [key for key in keys if key not in payload]
+    if missing:
+        raise ValueError(f"{kind} lacks keys {', '.join(missing)}")
+
+
 def load_checkpoint(path) -> tuple[ModelParams, int, str]:
     """Read a checkpoint written by `save_checkpoint`; returns (model, seed, config_hash)."""
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
-    if payload.get("format") != CHECKPOINT_FORMAT:
-        raise ValueError(f"not a model checkpoint: format={payload.get('format')!r}")
-    if payload.get("version") != CHECKPOINT_VERSION:
-        raise ValueError(f"unsupported checkpoint version {payload.get('version')!r}")
+    keys = ("layer_dims", "weights", "biases", "seed", "config_hash")
+    check_artifact(payload, "model checkpoint", CHECKPOINT_FORMAT, CHECKPOINT_VERSION, keys)
     if payload.get("dtype", "float64") != "float64":
         raise ValueError(f"unsupported checkpoint dtype {payload['dtype']!r}; expected 'float64'")
     dims = payload["layer_dims"]

@@ -55,9 +55,7 @@ class TrainConfig:
 
     `eta` is read only by the DRO method; `fixed_weights` must be present
     exactly for the weighted method.  `hidden_dims` may be empty for a
-    linear model.  `select_best`, when an evaluation set is supplied,
-    returns the epoch snapshot with the highest worst-class accuracy under
-    the training attack instead of the final model.
+    linear model.
     """
 
     method: str
@@ -73,7 +71,6 @@ class TrainConfig:
     eta: float = 0.3
     fixed_weights: ProbabilityDistribution | None = None
     hidden_dims: tuple[int, ...] = (256, 256)
-    select_best: bool = False
 
     def __post_init__(self):
         if self.method not in VALID_METHODS:
@@ -149,10 +146,10 @@ class TrainHistory:
 
 def class_avg_loss(
     per_example_losses: np.ndarray, labels: np.ndarray, num_classes: int
-) -> tuple[ClassRiskVector, np.ndarray]:
-    """Average loss per class over the batch, and the class counts.
+) -> tuple[ClassRiskVector, np.ndarray, np.ndarray]:
+    """Average loss per class over the batch, with the class counts and loss sums.
 
-    Absent classes get risk 0 and count 0; downstream code must exclude
+    Absent classes get risk, count and sum 0; downstream code must exclude
     them rather than read the placeholder zeros.
     """
     losses = np.asarray(per_example_losses, dtype=np.float64)
@@ -171,7 +168,7 @@ def class_avg_loss(
     present = counts > 0
     risks = np.zeros(num_classes)
     risks[present] = sums[present] / counts[present]
-    return ClassRiskVector(risks), counts
+    return ClassRiskVector(risks), counts, sums
 
 
 def _spread_over_examples(
@@ -206,7 +203,7 @@ def _codat_step(config, adv_losses, labels, risks, counts):
     routing = np.zeros(counts.size)
     routing[indices] = solution.closed_form.gradient
     example_weights = _spread_over_examples(routing, labels, counts)
-    return solution.closed_form.objective, example_weights, class_row, solution.closed_form_valid
+    return solution.closed_form.objective, example_weights, class_row, solution.closed_form.valid
 
 
 def _standard_step(config, adv_losses, labels, risks, counts):
@@ -304,6 +301,8 @@ def train(config: TrainConfig, train_data: Dataset, eval_data: Dataset | None = 
 
     Every method runs the same loop and differs only in its STEP_FNS entry.
     The DRO method at radius zero runs the standard trainer's exact path.
+    Given `eval_data`, returns the epoch snapshot with the highest
+    worst-class accuracy on it under the training attack, not the final model.
     """
     num_classes = train_data.num_classes
     if num_classes < 2:
@@ -347,7 +346,7 @@ def train(config: TrainConfig, train_data: Dataset, eval_data: Dataset | None = 
             adv_batch = LabeledBatch(adv_features, batch.labels)
             adv_losses = cross_entropy_per_example(forward(model, adv_batch), batch.labels)
             natural_losses = cross_entropy_per_example(forward(model, batch), batch.labels)
-            risks, counts = class_avg_loss(adv_losses, batch.labels, num_classes)
+            risks, counts, sums = class_avg_loss(adv_losses, batch.labels, num_classes)
             loss, example_weights, class_row, valid = step_fn(
                 config, adv_losses, batch.labels, risks, counts
             )
@@ -361,7 +360,7 @@ def train(config: TrainConfig, train_data: Dataset, eval_data: Dataset | None = 
             batches += 1
             loss_sum += loss
             natural_sum += float(np.mean(natural_losses))
-            risk_sums += np.bincount(batch.labels - 1, weights=adv_losses, minlength=num_classes)
+            risk_sums += sums
             risk_counts += counts
             weight_rows += class_row
             if _riskiest_class(risks, counts) == int(np.argmax(class_row)):
@@ -390,12 +389,12 @@ def train(config: TrainConfig, train_data: Dataset, eval_data: Dataset | None = 
                 closed_form_fraction=(valid_batches / codat_batches) if codat_batches else None,
             )
         )
-        if config.select_best and eval_data is not None:
+        if eval_data is not None:
             snapshot = ModelParams([(w.copy(), b.copy()) for w, b in model.layers])
             report = evaluate(snapshot, eval_data, attack=config.attack, seed=config.seed)
             if report.worst_class_accuracy > best_worst:
                 best_worst = report.worst_class_accuracy
                 best_snapshot = snapshot
-    if config.select_best and best_snapshot is not None:
+    if best_snapshot is not None:
         return best_snapshot, history
     return model, history

@@ -19,8 +19,7 @@ from codat.dro_core import (
     ClassRiskVector,
     ProbabilityDistribution,
     chi_square_divergence,
-    equivalent_objective,
-    equivalent_objective_gradient,
+    closed_form,
     mean_variance_under,
     oracle_worst_case,
     uniform_distribution,
@@ -169,7 +168,7 @@ class ToyRunCache:
                 seed=seed,
                 hidden_dims=(256, 256),
             )
-            model, _ = train(config, train_data, test_data)
+            model, _ = train(config, train_data)
             self._reports[key] = evaluate(model, test_data, attack=EVAL_ATTACK, seed=seed)
         return self._reports[key]
 
@@ -238,12 +237,12 @@ def test_criterion_3_closed_form_vs_oracle():
     valid = 0
     for risks, cfg in _random_instances(200, seed=202):
         solution = worst_case_distribution(risks, cfg)
-        if not solution.closed_form_valid:
+        if not solution.closed_form.valid:
             continue
         valid += 1
         distribution, objective = oracle_worst_case(risks, cfg)
         max_objective_gap = max(
-            max_objective_gap, abs(objective - equivalent_objective(risks, cfg))
+            max_objective_gap, abs(objective - closed_form(risks, cfg).objective)
         )
         max_distribution_gap = max(
             max_distribution_gap,
@@ -269,7 +268,8 @@ def test_criterion_4_worst_case_identities():
     worst_reconstruction = 0.0
     for risks, cfg in _random_instances(300, seed=404):
         solution = worst_case_distribution(risks, cfg)
-        if not solution.closed_form_valid or solution.degenerate or cfg.eta == 0.0:
+        form = solution.closed_form
+        if not form.valid or form.degenerate or cfg.eta == 0.0:
             continue
         weights = solution.distribution.weights
         worst_radius = max(
@@ -277,11 +277,11 @@ def test_criterion_4_worst_case_identities():
         )
         worst_duality = max(
             worst_duality,
-            abs(float(np.dot(weights, risks.risks)) - equivalent_objective(risks, cfg)),
+            abs(float(np.dot(weights, risks.risks)) - closed_form(risks, cfg).objective),
         )
         mean, _ = mean_variance_under(cfg.p0, risks)
         rebuilt = cfg.p0.weights * (
-            1.0 + (risks.risks - mean) / (2.0 * solution.alpha_star)
+            1.0 + (risks.risks - mean) / (2.0 * form.multiplier)
         )
         worst_reconstruction = max(
             worst_reconstruction, float(np.max(np.abs(rebuilt - weights)))
@@ -320,9 +320,9 @@ def test_criterion_5_gradient_checks():
         risks = rng.uniform(0.1, 5.0, size=num_classes)
         eta = min(float(rng.uniform(0.05, 0.9)), (num_classes - 1) * 0.999)
         cfg = AmbiguityConfig(uniform_distribution(num_classes), eta)
-        analytic = equivalent_objective_gradient(ClassRiskVector(risks), cfg)
+        analytic = closed_form(ClassRiskVector(risks), cfg).gradient
         numeric = _numeric_gradient(
-            lambda r: equivalent_objective(ClassRiskVector(r), cfg), risks
+            lambda r: closed_form(ClassRiskVector(r), cfg).objective, risks
         )
         worst_objective_gap = max(worst_objective_gap, float(np.max(np.abs(analytic - numeric))))
 

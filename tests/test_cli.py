@@ -293,6 +293,22 @@ class TestEvaluateCommand:
         assert rc == 2
         assert "not found" in capsys.readouterr().err
 
+    def test_checkpoint_without_model_keys_is_clean_error(self, tmp_path, capsys):
+        checkpoint = tmp_path / "empty.json"
+        checkpoint.write_text('{"format": "codat-checkpoint", "version": 1}', encoding="utf-8")
+        rc = main(["evaluate", "--checkpoint", str(checkpoint), "--preset", "toy3"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "lacks keys layer_dims, weights, biases, seed, config_hash" in err
+
+    def test_checkpoint_that_is_not_an_object_is_clean_error(self, tmp_path, capsys):
+        checkpoint = tmp_path / "list.json"
+        checkpoint.write_text("[1, 2, 3]", encoding="utf-8")
+        rc = main(["evaluate", "--checkpoint", str(checkpoint), "--preset", "toy3"])
+        assert rc == 2
+        assert "must be a JSON object, got list" in capsys.readouterr().err
+
     def test_dimension_mismatch_reported(self, trained_run, tmp_path, capsys):
         wide = tmp_path / "wide.csv"
         wide.write_text(
@@ -357,6 +373,16 @@ class TestFecCommand:
         payload = json.loads((tmp_path / "fec.json").read_text())
         assert payload[0]["method"] == "eval_natural"
         assert payload[0]["fec"] == 1.0
+
+
+    def test_report_without_accuracy_keys_is_clean_error(self, tmp_path, capsys):
+        report = tmp_path / "empty.json"
+        report.write_text('{"format": "codat-eval-report", "version": 1}', encoding="utf-8")
+        rc = main(["fec", "--reports", str(report), "--baseline", "empty", "--out", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "lacks keys per_class_accuracy, average_accuracy, worst_class_accuracy" in err
 
 
 class TestOracleCommand:

@@ -13,9 +13,6 @@ from codat.dro_core import (
     ProbabilityDistribution,
     chi_square_divergence,
     closed_form,
-    equivalent_objective,
-    equivalent_objective_gradient,
-    lagrange_multiplier_star,
     mean_variance_under,
     oracle_worst_case,
     simplex_project,
@@ -142,13 +139,13 @@ def reference_instance():
 def test_worst_case_closed_form_reference_values():
     risks, cfg = reference_instance()
     sol = worst_case_distribution(risks, cfg)
-    assert sol.closed_form_valid
-    assert not sol.degenerate
+    assert sol.closed_form.valid
+    assert not sol.closed_form.degenerate
     np.testing.assert_allclose(
         sol.distribution.weights, [0.20423389, 0.33333333, 0.46243278], atol=1e-8
     )
     assert sol.objective_value == pytest.approx(2.258198889747161, abs=1e-12)
-    assert sol.alpha_star == pytest.approx(1.2909944487358052, abs=1e-12)
+    assert sol.closed_form.multiplier == pytest.approx(1.2909944487358052, abs=1e-12)
 
 
 def test_worst_case_sits_exactly_on_the_ball_boundary():
@@ -168,7 +165,7 @@ def test_multiplier_reconstructs_the_worst_case():
     # p0 times the likelihood ratio 1 + (r - mean) / (2 alpha*) must rebuild p*.
     risks, cfg = reference_instance()
     sol = worst_case_distribution(risks, cfg)
-    alpha = lagrange_multiplier_star(risks, cfg)
+    alpha = closed_form(risks, cfg).multiplier
     mean, _ = mean_variance_under(cfg.p0, risks)
     ratio = 1.0 + (risks.risks - mean) / (2.0 * alpha)
     np.testing.assert_allclose(cfg.p0.weights * ratio, sol.distribution.weights, atol=1e-10)
@@ -177,8 +174,8 @@ def test_multiplier_reconstructs_the_worst_case():
 def test_worst_case_constant_risks_degenerates_to_center():
     cfg = AmbiguityConfig(uniform_distribution(3), eta=0.1)
     sol = worst_case_distribution(ClassRiskVector([2.0, 2.0, 2.0]), cfg)
-    assert sol.degenerate
-    assert not sol.closed_form_valid
+    assert sol.closed_form.degenerate
+    assert not sol.closed_form.valid
     np.testing.assert_array_equal(sol.distribution.weights, cfg.p0.weights)
     assert sol.objective_value == pytest.approx(2.0, abs=1e-12)
 
@@ -186,8 +183,8 @@ def test_worst_case_constant_risks_degenerates_to_center():
 def test_worst_case_negative_entry_falls_back_to_oracle():
     cfg = AmbiguityConfig(uniform_distribution(3), eta=1.9)
     sol = worst_case_distribution(ClassRiskVector([0.0, 10.0, 10.0]), cfg)
-    assert not sol.closed_form_valid
-    assert not sol.degenerate
+    assert not sol.closed_form.valid
+    assert not sol.closed_form.degenerate
     # the constrained optimum drops the zero-risk class entirely
     assert sol.objective_value == pytest.approx(10.0, abs=1e-6)
     np.testing.assert_allclose(sol.distribution.weights, [0.0, 0.5, 0.5], atol=1e-6)
@@ -216,12 +213,14 @@ def test_closed_form_is_invalid_exactly_where_the_oracle_takes_over(monkeypatch)
         assert (sol.closed_form.objective, sol.closed_form.mean) == (form.objective, form.mean)
         if not form.valid:
             fallbacks += 1
-            assert not sol.closed_form_valid and not sol.degenerate
+            assert not sol.closed_form.valid and not sol.closed_form.degenerate
             assert solved and solved[-1] is risks
         else:
             assert form.gradient.tobytes() == sol.distribution.weights.tobytes()
-            assert (form.objective, form.multiplier) == (sol.objective_value, sol.alpha_star)
-            assert (form.valid, form.degenerate) == (sol.closed_form_valid, sol.degenerate)
+            solved_form = sol.closed_form
+            assert form.objective == sol.objective_value
+            assert form.multiplier == solved_form.multiplier
+            assert (form.valid, form.degenerate) == (solved_form.valid, solved_form.degenerate)
     assert fallbacks > 0
     assert len(solved) == fallbacks
 
@@ -234,7 +233,7 @@ def test_worst_case_weights_grow_with_risk():
         risks = ClassRiskVector(rng.uniform(0, 5, size=k))
         cfg = AmbiguityConfig(uniform_distribution(k), eta=float(rng.uniform(0.05, 0.9)))
         sol = worst_case_distribution(risks, cfg)
-        if not sol.closed_form_valid:
+        if not sol.closed_form.valid:
             continue
         order = np.argsort(risks.risks)
         ordered_weights = sol.distribution.weights[order]
@@ -252,20 +251,21 @@ def test_multiplier_special_ratios():
     # gives alpha* = 1/2, radius at a quarter of it gives alpha* = 1.
     risks = ClassRiskVector([1.0, 2.0, 3.0])
     p0 = uniform_distribution(3)
-    assert lagrange_multiplier_star(risks, AmbiguityConfig(p0, eta=2.0 / 3.0)) == pytest.approx(
+    assert closed_form(risks, AmbiguityConfig(p0, eta=2.0 / 3.0)).multiplier == pytest.approx(
         0.5, abs=1e-12
     )
-    assert lagrange_multiplier_star(risks, AmbiguityConfig(p0, eta=1.0 / 6.0)) == pytest.approx(
+    assert closed_form(risks, AmbiguityConfig(p0, eta=1.0 / 6.0)).multiplier == pytest.approx(
         1.0, abs=1e-12
     )
 
 
 def test_multiplier_undefined_for_constant_risks_or_zero_radius():
+    # alpha* is undefined there, and the closed form documents it as 0.0
     p0 = uniform_distribution(3)
-    with pytest.raises(ValueError):
-        lagrange_multiplier_star(ClassRiskVector([1.0, 1.0, 1.0]), AmbiguityConfig(p0, eta=0.1))
-    with pytest.raises(ValueError):
-        lagrange_multiplier_star(ClassRiskVector([1.0, 2.0, 3.0]), AmbiguityConfig(p0, eta=0.0))
+    constant = closed_form(ClassRiskVector([1.0, 1.0, 1.0]), AmbiguityConfig(p0, eta=0.1))
+    zero_radius = closed_form(ClassRiskVector([1.0, 2.0, 3.0]), AmbiguityConfig(p0, eta=0.0))
+    assert constant.multiplier == 0.0
+    assert zero_radius.multiplier == 0.0
 
 
 # ---------------------------------------------------------- objective
@@ -273,17 +273,17 @@ def test_multiplier_undefined_for_constant_risks_or_zero_radius():
 
 def test_equivalent_objective_reference_value():
     risks, cfg = reference_instance()
-    assert equivalent_objective(risks, cfg) == pytest.approx(2.258198889747161, abs=1e-12)
+    assert closed_form(risks, cfg).objective == pytest.approx(2.258198889747161, abs=1e-12)
 
 
 def test_equivalent_objective_constant_risks_is_the_constant():
     cfg = AmbiguityConfig(uniform_distribution(3), eta=0.4)
-    assert equivalent_objective(ClassRiskVector([1.7] * 3), cfg) == pytest.approx(1.7, abs=1e-12)
+    assert closed_form(ClassRiskVector([1.7] * 3), cfg).objective == pytest.approx(1.7, abs=1e-12)
 
 
 def test_equivalent_objective_zero_radius_is_the_mean():
     cfg = AmbiguityConfig(uniform_distribution(3), eta=0.0)
-    assert equivalent_objective(ClassRiskVector([1, 2, 3]), cfg) == pytest.approx(2.0, abs=1e-12)
+    assert closed_form(ClassRiskVector([1, 2, 3]), cfg).objective == pytest.approx(2.0, abs=1e-12)
 
 
 def test_equivalent_objective_bounded_by_mean_and_max():
@@ -293,10 +293,10 @@ def test_equivalent_objective_bounded_by_mean_and_max():
         risks = ClassRiskVector(rng.uniform(0, 5, size=k))
         cfg = AmbiguityConfig(uniform_distribution(k), eta=float(rng.uniform(0.05, 0.9)))
         sol = worst_case_distribution(risks, cfg)
-        if not sol.closed_form_valid:
+        if not sol.closed_form.valid:
             continue
         mean, _ = mean_variance_under(cfg.p0, risks)
-        value = equivalent_objective(risks, cfg)
+        value = closed_form(risks, cfg).objective
         assert mean - 1e-12 <= value <= float(np.max(risks.risks)) + 1e-12
 
 
@@ -307,7 +307,7 @@ def test_equivalent_objective_nondecreasing_in_radius():
         risks = ClassRiskVector(rng.uniform(0, 5, size=k))
         p0 = uniform_distribution(k)
         radii = np.sort(rng.uniform(0.0, 0.9, size=4))
-        values = [equivalent_objective(risks, AmbiguityConfig(p0, eta=float(e))) for e in radii]
+        values = [closed_form(risks, AmbiguityConfig(p0, eta=float(e))).objective for e in radii]
         assert np.all(np.diff(values) >= -1e-12)
 
 
@@ -322,8 +322,8 @@ def central_difference_gradient(risks, cfg, h=1e-5):
         bumped_up[i] += h
         bumped_down = base.copy()
         bumped_down[i] -= h
-        f_plus = equivalent_objective(ClassRiskVector(bumped_up), cfg)
-        f_minus = equivalent_objective(ClassRiskVector(bumped_down), cfg)
+        f_plus = closed_form(ClassRiskVector(bumped_up), cfg).objective
+        f_minus = closed_form(ClassRiskVector(bumped_down), cfg).objective
         grad[i] = (f_plus - f_minus) / (2.0 * h)
     return grad
 
@@ -332,7 +332,7 @@ def test_gradient_equals_worst_case_distribution_when_valid():
     risks, cfg = reference_instance()
     sol = worst_case_distribution(risks, cfg)
     np.testing.assert_allclose(
-        equivalent_objective_gradient(risks, cfg), sol.distribution.weights, atol=1e-12
+        closed_form(risks, cfg).gradient, sol.distribution.weights, atol=1e-12
     )
 
 
@@ -347,13 +347,13 @@ def test_gradient_is_the_worst_case_bit_for_bit_property(risks, radius_fraction)
     risks = ClassRiskVector(np.array(risks))
     cfg = AmbiguityConfig(uniform_distribution(risks.size), radius_fraction * (risks.size - 1))
     _, variance = mean_variance_under(cfg.p0, risks)
-    gradient = equivalent_objective_gradient(risks, cfg)
+    gradient = closed_form(risks, cfg).gradient
     # decided before the solver runs, so no example takes the numeric fallback
     assume(variance >= ZERO_VARIANCE_GUARD and np.min(gradient) >= 0.0)
     solution = worst_case_distribution(risks, cfg)
-    assert solution.closed_form_valid
+    assert solution.closed_form.valid
     assert np.array_equal(gradient, solution.distribution.weights)
-    assert solution.objective_value == equivalent_objective(risks, cfg)
+    assert solution.objective_value == closed_form(risks, cfg).objective
 
 
 def test_gradient_matches_central_differences():
@@ -366,14 +366,14 @@ def test_gradient_matches_central_differences():
         if variance < 1e-6:
             continue
         numeric = central_difference_gradient(risks, cfg)
-        analytic = equivalent_objective_gradient(risks, cfg)
+        analytic = closed_form(risks, cfg).gradient
         np.testing.assert_allclose(analytic, numeric, atol=1e-5)
 
 
 def test_gradient_constant_risks_returns_center():
     cfg = AmbiguityConfig(uniform_distribution(4), eta=0.3)
     np.testing.assert_array_equal(
-        equivalent_objective_gradient(ClassRiskVector([2.0] * 4), cfg), cfg.p0.weights
+        closed_form(ClassRiskVector([2.0] * 4), cfg).gradient, cfg.p0.weights
     )
 
 
@@ -383,7 +383,7 @@ def test_gradient_entries_sum_to_one():
         k = int(rng.integers(2, 11))
         risks = ClassRiskVector(rng.uniform(0, 5, size=k))
         cfg = AmbiguityConfig(uniform_distribution(k), eta=float(rng.uniform(0.05, 0.9)))
-        assert float(np.sum(equivalent_objective_gradient(risks, cfg))) == pytest.approx(
+        assert float(np.sum(closed_form(risks, cfg).gradient)) == pytest.approx(
             1.0, abs=1e-9
         )
 
@@ -558,7 +558,7 @@ def test_closed_form_agrees_with_oracle_on_random_instances():
         risks = ClassRiskVector(rng.uniform(0, 5, size=k))
         cfg = AmbiguityConfig(uniform_distribution(k), eta=float(rng.uniform(0.05, 0.9)))
         sol = worst_case_distribution(risks, cfg)
-        if not sol.closed_form_valid:
+        if not sol.closed_form.valid:
             continue
         dist, objective = oracle_worst_case(risks, cfg)
         assert abs(objective - sol.objective_value) <= 1e-3
@@ -574,7 +574,7 @@ def test_closed_form_identities_on_random_instances():
         risks = ClassRiskVector(rng.uniform(0, 5, size=k))
         cfg = AmbiguityConfig(uniform_distribution(k), eta=float(rng.uniform(0.05, 0.9)))
         sol = worst_case_distribution(risks, cfg)
-        if not sol.closed_form_valid:
+        if not sol.closed_form.valid:
             continue
         assert chi_square_divergence(sol.distribution, cfg.p0) == pytest.approx(
             cfg.eta, abs=1e-8
@@ -582,7 +582,7 @@ def test_closed_form_identities_on_random_instances():
         assert float(np.dot(sol.distribution.weights, risks.risks)) == pytest.approx(
             sol.objective_value, abs=1e-8
         )
-        alpha = lagrange_multiplier_star(risks, cfg)
+        alpha = closed_form(risks, cfg).multiplier
         mean, _ = mean_variance_under(cfg.p0, risks)
         rebuilt = cfg.p0.weights * (1.0 + (risks.risks - mean) / (2.0 * alpha))
         np.testing.assert_allclose(rebuilt, sol.distribution.weights, atol=1e-10)

@@ -58,7 +58,7 @@ def make_config(method, **overrides):
 
 def run_step(method, losses, labels, num_classes, **overrides):
     """One STEP_FNS call with the batch statistics the training loop passes."""
-    risks, counts = class_avg_loss(losses, labels, num_classes)
+    risks, counts, _ = class_avg_loss(losses, labels, num_classes)
     config = make_config(method, **overrides)
     return STEP_FNS[method](config, losses, labels, risks, counts)
 
@@ -91,9 +91,10 @@ class TestClassAvgLoss:
     def test_hand_example_with_absent_class(self):
         losses = np.array([1.0, 2.0, 3.0, 4.0])
         labels = np.array([1, 1, 2, 3])
-        risks, counts = class_avg_loss(losses, labels, 4)
+        risks, counts, sums = class_avg_loss(losses, labels, 4)
         assert np.array_equal(risks.risks, [1.5, 3.0, 4.0, 0.0])
         assert np.array_equal(counts, [2, 1, 1, 0])
+        assert np.array_equal(sums, [3.0, 3.0, 4.0, 0.0])
         assert np.array_equal(counts > 0, [True, True, True, False])
 
     def test_count_weighted_risks_recover_mean(self):
@@ -103,8 +104,10 @@ class TestClassAvgLoss:
             num_classes = int(rng.integers(2, 6))
             losses = rng.uniform(0.0, 4.0, size=size)
             labels = rng.integers(1, num_classes + 1, size=size)
-            risks, counts = class_avg_loss(losses, labels, num_classes)
+            risks, counts, sums = class_avg_loss(losses, labels, num_classes)
             assert np.array_equal(counts, np.bincount(labels - 1, minlength=num_classes))
+            weighted = np.bincount(labels - 1, weights=losses, minlength=num_classes)
+            assert np.array_equal(sums, weighted)
             assert np.dot(counts / size, risks.risks) == pytest.approx(
                 np.mean(losses), abs=1e-12
             )
@@ -222,7 +225,7 @@ class TestStepFunctions:
                 continue
             losses = rng.uniform(0.2, 3.0, size=size)
             loss, weights, row, valid = run_step("codat", losses, labels, 3, eta=0.5)
-            risks, _ = class_avg_loss(losses, labels, 3)
+            risks, _, _ = class_avg_loss(losses, labels, 3)
             assert valid is True
             assert np.dot(row, risks.risks) == pytest.approx(loss, abs=1e-8)
             assert np.sum(row) == pytest.approx(1.0, abs=1e-12)
@@ -236,7 +239,7 @@ class TestStepFunctions:
             losses = rng.uniform(0.1, 4.0, size=4 * num_classes)
             labels = np.repeat(np.arange(1, num_classes + 1), 4)
             loss, _, _, _ = run_step("worst_class", losses, labels, num_classes)
-            risks, _ = class_avg_loss(losses, labels, num_classes)
+            risks, _, _ = class_avg_loss(losses, labels, num_classes)
             cfg = AmbiguityConfig(
                 uniform_distribution(num_classes), (num_classes - 1) * (1 - 1e-9)
             )
@@ -392,14 +395,30 @@ class TestTrainingLoop:
         train_data = small_dataset(per_class=50, seed=4)
         eval_data = gen_gaussian_mixture(toy3_spec(samples_per_class=30, seed=10004))
         base = dict(eta=0.4, epochs=4, batch_size=50)
-        _, _ = train(make_config("codat", **base), train_data)
-        final_model, _ = train(make_config("codat", **base), train_data, eval_data)
-        best_model, _ = train(
-            make_config("codat", select_best=True, **base), train_data, eval_data
-        )
+        final_model, _ = train(make_config("codat", **base), train_data)
+        best_model, _ = train(make_config("codat", **base), train_data, eval_data)
         final_report = evaluate(final_model, eval_data, attack=SMALL_ATTACK, seed=5)
         best_report = evaluate(best_model, eval_data, attack=SMALL_ATTACK, seed=5)
         assert best_report.worst_class_accuracy >= final_report.worst_class_accuracy
+
+    def test_eval_data_alone_selects_the_best_epoch(self):
+        from codat.metrics import evaluate
+
+        train_data = small_dataset(per_class=50, seed=4)
+        eval_data = gen_gaussian_mixture(toy3_spec(samples_per_class=30, seed=10004))
+        config = make_config("codat", eta=0.4, epochs=4, batch_size=50)
+        model, history = train(config, train_data, eval_data)
+        # each epoch's model, as a shorter run of the same schedule, scored as train scores it
+        scores = []
+        for epochs in range(1, config.epochs + 1):
+            shorter = make_config("codat", eta=0.4, epochs=epochs, batch_size=50)
+            prefix, _ = train(shorter, train_data)
+            assert params_digest(prefix) == history.records[epochs - 1].params_digest
+            report = evaluate(prefix, eval_data, attack=config.attack, seed=config.seed)
+            scores.append(report.worst_class_accuracy)
+        best = int(np.argmax(scores))
+        assert best != config.epochs - 1
+        assert params_digest(model) == history.records[best].params_digest
 
     def test_codat_batch_computes_the_moments_once(self, monkeypatch):
         # one closed-form pass per batch: the loss, the routing row and the

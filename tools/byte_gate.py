@@ -16,6 +16,8 @@ scratch directory with single-threaded BLAS, on small toy3 runs:
   per-batch attack seeds `(seed, idx)` of three 512-row batches, and the
   stacking of those batches into `adversarial.csv`, are hashed;
 - `sweep --etas 0,0.3,1.5`;
+- `fec --csv` on that sweep's `sweep.csv`, and `fec --reports` on the
+  natural and the PGD report of the `evaluate` runs;
 - three `oracle` runs: a default, a tiny radius, and `oracle_readme`, the
   README's own command (`--trials 200 --classes 10 --eta 2.0 --seed 7`),
   whose radii reach past the closed form's failure point;
@@ -112,6 +114,17 @@ MATRIX = [
         ],
     ),
     ("sweep", ["sweep", *SIZE, "--etas", "0,0.3,1.5", "--out-root", "sweep"]),
+    (
+        "fec_csv",
+        ["fec", "--csv", "sweep/sweep_toy3_seed0/sweep.csv", "--baseline", "eta0", "--out", "fec_csv"],
+    ),
+    (
+        "fec_reports",
+        [
+            "fec", "--reports", "eval_none/eval_natural.json", "eval_pgd/eval_adversarial.json",
+            "--baseline", "eval_natural", "--out", "fec_reports",
+        ],
+    ),
     ("oracle_default", ["oracle", "--trials", "50", "--seed", "3", "--out", "oracle/default.json"]),
     (
         "oracle_small_eta",
