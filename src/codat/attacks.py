@@ -3,9 +3,9 @@
 The attack maximizes per-example cross-entropy inside the intersection of
 the epsilon ball around each input and the [0, 1] feature box.  Outputs
 satisfy max|x' - x| <= epsilon and x' in [0, 1] exactly as measured in
-float64, not merely within a tolerance: after the two-stage clamp, any
-coordinate pushed one ulp outside the ball by the rebuild rounding is
-nudged back toward its anchor.
+float64, not merely within a tolerance: each attack builds every
+coordinate's exact feasible interval once (`feasible_box`), and the random
+start and every step are one clip into it.
 """
 
 from __future__ import annotations
@@ -52,16 +52,6 @@ class AttackConfig:
         return asdict(self)
 
 
-def project_linf(candidate: np.ndarray, anchor: np.ndarray, epsilon: float) -> np.ndarray:
-    """Clamp entrywise to [anchor - epsilon, anchor + epsilon], then to [0, 1]."""
-    candidate = np.asarray(candidate, dtype=np.float64)
-    anchor = np.asarray(anchor, dtype=np.float64)
-    if candidate.shape != anchor.shape:
-        raise ValueError(f"shape mismatch: candidate {candidate.shape} vs anchor {anchor.shape}")
-    clipped = np.clip(candidate, anchor - epsilon, anchor + epsilon)
-    return np.clip(clipped, 0.0, 1.0)
-
-
 def _repair_ball(perturbed: np.ndarray, anchor: np.ndarray, epsilon: float) -> np.ndarray:
     # fl(anchor +- delta) can land one ulp outside the ball; walk those
     # coordinates back toward the anchor until the measured distance fits
@@ -76,9 +66,16 @@ def _repair_ball(perturbed: np.ndarray, anchor: np.ndarray, epsilon: float) -> n
     return perturbed
 
 
-def _project_exact(candidate: np.ndarray, anchor: np.ndarray, epsilon: float) -> np.ndarray:
-    projected = project_linf(candidate, anchor, epsilon)
-    return _repair_ball(projected, anchor, epsilon)
+def feasible_box(anchor: np.ndarray, epsilon: float) -> tuple[np.ndarray, np.ndarray]:
+    """Bounds (lo, hi) for anchors in [0, 1]; every value between them is feasible.
+
+    Each bound is fl(anchor -+ epsilon) walked back into the ball by the
+    ulp, then cut to [0, 1].  fl(|x - anchor|) is monotone in x on each side
+    of the anchor, so `np.clip(x, lo, hi)` is exactly feasible.
+    """
+    lo = _repair_ball(anchor - epsilon, anchor, epsilon)
+    hi = _repair_ball(anchor + epsilon, anchor, epsilon)
+    return np.maximum(lo, 0.0), np.minimum(hi, 1.0)
 
 
 def pgd_attack(
@@ -99,10 +96,11 @@ def pgd_attack(
         )
     if cfg.epsilon == 0.0:
         return anchor.copy()
+    lo, hi = feasible_box(anchor, cfg.epsilon)
     rng = np.random.default_rng(seed)
     if cfg.random_start:
         start = anchor + rng.uniform(-cfg.epsilon, cfg.epsilon, size=anchor.shape)
-        perturbed = _project_exact(start, anchor, cfg.epsilon)
+        perturbed = np.clip(start, lo, hi, out=start)
     else:
         perturbed = anchor.copy()
     for step in range(cfg.steps):
@@ -113,5 +111,5 @@ def pgd_attack(
                 "the model has diverged and the attack cannot continue"
             )
         candidate = perturbed + cfg.step_size * np.sign(input_grads)
-        perturbed = _project_exact(candidate, anchor, cfg.epsilon)
+        perturbed = np.clip(candidate, lo, hi, out=candidate)
     return perturbed

@@ -307,10 +307,19 @@ def load_checkpoint(path) -> tuple[ModelParams, int, str]:
     check_artifact(payload, "model checkpoint", CHECKPOINT_FORMAT, CHECKPOINT_VERSION, keys)
     if payload.get("dtype", "float64") != "float64":
         raise ValueError(f"unsupported checkpoint dtype {payload['dtype']!r}; expected 'float64'")
-    dims = payload["layer_dims"]
+    dims, weights, biases = payload["layer_dims"], payload["weights"], payload["biases"]
     layers = []
-    for i, (fan_in, fan_out) in enumerate(zip(dims[:-1], dims[1:])):
-        weight = np.asarray(payload["weights"][i], dtype=np.float64).reshape(fan_out, fan_in)
-        bias = np.asarray(payload["biases"][i], dtype=np.float64)
+    for i in range(max(len(dims) - 1, len(weights), len(biases))):
+        if i >= len(dims) - 1:
+            raise ValueError(f"model checkpoint layer {i} lies beyond layer_dims {dims}")
+        fan_in, fan_out = dims[i], dims[i + 1]
+        try:
+            weight = np.asarray(weights[i], dtype=np.float64).reshape(fan_out, fan_in)
+            bias = np.asarray(biases[i], dtype=np.float64).reshape(fan_out)
+        except (IndexError, TypeError, ValueError):
+            raise ValueError(
+                f"model checkpoint layer {i} needs a {fan_out}x{fan_in} weight "
+                f"and {fan_out} biases"
+            ) from None
         layers.append((weight, bias))
     return ModelParams(layers), int(payload["seed"]), str(payload["config_hash"])

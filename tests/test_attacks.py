@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from codat.attacks import AttackConfig, pgd_attack, project_linf
+from codat import attacks
+from codat.attacks import AttackConfig, feasible_box, pgd_attack
 from codat.nn_engine import (
     LabeledBatch,
     ModelParams,
@@ -58,19 +59,42 @@ def test_config_as_dict_names_all_four_settings():
 # ------------------------------------------------------------ projection
 
 
+def clip_into_box(candidate, anchor, epsilon):
+    return np.clip(candidate, *feasible_box(anchor, epsilon))
+
+
+def reference_projection(candidate, anchor, epsilon):
+    """The projection `pgd_attack` ran on every step before `feasible_box`.
+
+    Clamp to the ball, clamp to [0, 1], then walk each coordinate that the
+    rounding of fl(anchor +- epsilon) left outside the ball back toward its
+    anchor one ulp at a time.
+    """
+    projected = np.clip(np.clip(candidate, anchor - epsilon, anchor + epsilon), 0.0, 1.0)
+    for _ in range(64):
+        outside = np.abs(projected - anchor) > epsilon
+        if not np.any(outside):
+            return projected
+        projected[outside] = np.nextafter(projected[outside], anchor[outside])
+    still_outside = np.abs(projected - anchor) > epsilon
+    projected[still_outside] = anchor[still_outside]
+    return projected
+
+
 def test_projection_keeps_points_already_inside():
     anchor = np.array([[0.5, 0.5]])
     candidate = np.array([[0.52, 0.48]])
-    np.testing.assert_array_equal(project_linf(candidate, anchor, 0.1), candidate)
+    np.testing.assert_array_equal(clip_into_box(candidate, anchor, 0.1), candidate)
 
 
 def test_projection_clamps_to_ball_edge():
-    out = project_linf(np.array([[1.0]]), np.array([[0.5]]), 0.1)
+    out = clip_into_box(np.array([[1.0]]), np.array([[0.5]]), 0.1)
     assert out[0, 0] == pytest.approx(0.6, abs=1e-15)
+    assert abs(out[0, 0] - 0.5) <= 0.1
 
 
 def test_projection_feature_floor_binds_before_ball_floor():
-    out = project_linf(np.array([[-0.5]]), np.array([[0.02]]), 0.1)
+    out = clip_into_box(np.array([[-0.5]]), np.array([[0.02]]), 0.1)
     assert out[0, 0] == 0.0
 
 
@@ -78,13 +102,60 @@ def test_projection_is_idempotent():
     rng = np.random.default_rng(4)
     anchor = rng.uniform(0, 1, size=(10, 5))
     candidate = anchor + rng.uniform(-0.5, 0.5, size=(10, 5))
-    once = project_linf(candidate, anchor, 0.07)
-    np.testing.assert_array_equal(project_linf(once, anchor, 0.07), once)
+    once = clip_into_box(candidate, anchor, 0.07)
+    np.testing.assert_array_equal(clip_into_box(once, anchor, 0.07), once)
 
 
-def test_projection_rejects_shape_mismatch():
-    with pytest.raises(ValueError, match="shape"):
-        project_linf(np.zeros((2, 3)), np.zeros((2, 4)), 0.1)
+def test_box_repair_moves_a_rounded_bound():
+    # fl(0.1 + 0.2) - 0.1 = 0.20000000000000004 > 0.2: the upper bound must
+    # sit one ulp below fl(anchor + epsilon), or the property below could
+    # pass without the repair doing anything
+    anchor = np.array([0.1])
+    hi = feasible_box(anchor, 0.2)[1]
+    assert float(hi[0]) == np.nextafter(0.1 + 0.2, 0.0)
+    assert abs(hi[0] - anchor[0]) <= 0.2 < abs((0.1 + 0.2) - anchor[0])
+    np.testing.assert_array_equal(reference_projection(anchor + 0.2, anchor, 0.2), hi)
+
+
+_EDGE_ANCHORS = st.sampled_from([0.0, 1.0, 5e-324, 1.0 - 2.0**-53, 0.5, 0.1])
+_ANCHORS = st.one_of(
+    _EDGE_ANCHORS,
+    st.floats(min_value=0.0, max_value=1.0),
+    st.builds(
+        lambda u, k: u**k, st.floats(min_value=0.0, max_value=1.0), st.integers(2, 400)
+    ),
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(
+    anchors=st.lists(_ANCHORS, min_size=1, max_size=12),
+    epsilon=st.one_of(
+        st.floats(min_value=1e-300, max_value=0.999),
+        st.sampled_from([1e-300, 1e-17, 2.0**-53, 0.1, 0.2, 0.3, 0.5, 0.999]),
+    ),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_box_clip_equals_the_reference_projection_bit_for_bit(anchors, epsilon, seed):
+    anchor = np.array(anchors)
+    minus, plus = anchor - epsilon, anchor + epsilon
+    rng = np.random.default_rng(seed)
+    candidates = [
+        minus,
+        plus,
+        np.nextafter(minus, -np.inf),
+        np.nextafter(plus, np.inf),
+        anchor,
+        np.zeros_like(anchor),
+        np.ones_like(anchor),
+        anchor + rng.uniform(-2.0 * epsilon, 2.0 * epsilon, size=anchor.shape),
+        rng.uniform(-0.5, 1.5, size=anchor.shape),
+    ]
+    for candidate in candidates:
+        expected = reference_projection(candidate, anchor, epsilon)
+        got = clip_into_box(candidate, anchor, epsilon)
+        # int64 views so that -0.0 and 0.0 count as different bytes
+        np.testing.assert_array_equal(got.view(np.int64), expected.view(np.int64))
 
 
 # ---------------------------------------------------------------- attack
@@ -198,7 +269,7 @@ def test_attack_no_weaker_than_its_random_start_on_average():
         start = batch.features + replay.uniform(
             -cfg.epsilon, cfg.epsilon, size=batch.features.shape
         )
-        start = project_linf(start, batch.features, cfg.epsilon)
+        start = clip_into_box(start, batch.features, cfg.epsilon)
         start_losses.append(
             float(np.mean(cross_entropy_per_example(
                 forward(model, LabeledBatch(start, batch.labels)), batch.labels
@@ -211,6 +282,26 @@ def test_attack_no_weaker_than_its_random_start_on_average():
             )))
         )
     assert np.mean(attacked_losses) >= np.mean(start_losses)
+
+
+def test_ulp_walk_runs_a_fixed_number_of_times_per_attack(monkeypatch):
+    calls = []
+    repair = attacks._repair_ball
+
+    def counted(*args):
+        calls.append(args)
+        return repair(*args)
+
+    monkeypatch.setattr(attacks, "_repair_ball", counted)
+    rng = np.random.default_rng(5)
+    model = init_model([3, 6, 2], seed=0)
+    batch = random_batch(rng, 8, 3, 2)
+    per_attack = []
+    for steps in (1, 6, 20):
+        calls.clear()
+        pgd_attack(model, batch, AttackConfig(0.05, 0.0125, steps), seed=1)
+        per_attack.append(len(calls))
+    assert per_attack == [2, 2, 2]
 
 
 def test_attack_aborts_on_non_finite_gradient():

@@ -309,6 +309,30 @@ class TestEvaluateCommand:
         assert rc == 2
         assert "must be a JSON object, got list" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "weights, biases, message",
+        [
+            ([], [], "layer 0 needs a 3x2 weight and 3 biases"),
+            ([[0.1] * 6, [0.1] * 8], [[0.0] * 3] * 2, "layer 1 needs a 3x3 weight and 3 biases"),
+            (
+                [[0.1] * 6, [0.1] * 9, [0.1] * 9],
+                [[0.0] * 3] * 3,
+                "layer 2 lies beyond layer_dims [2, 3, 3]",
+            ),
+        ],
+        ids=["empty", "wrong_size", "extra_layer"],
+    )
+    def test_checkpoint_layers_must_fit_layer_dims(self, tmp_path, capsys, weights, biases, message):
+        checkpoint = tmp_path / "misshapen.json"
+        payload = {
+            "format": "codat-checkpoint", "version": 1, "layer_dims": [2, 3, 3],
+            "weights": weights, "biases": biases, "seed": 0, "config_hash": "x",
+        }
+        checkpoint.write_text(json.dumps(payload), encoding="utf-8")
+        rc = main(["evaluate", "--checkpoint", str(checkpoint), "--preset", "toy3"])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: model checkpoint {message}\n"
+
     def test_dimension_mismatch_reported(self, trained_run, tmp_path, capsys):
         wide = tmp_path / "wide.csv"
         wide.write_text(

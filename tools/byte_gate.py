@@ -15,6 +15,8 @@ scratch directory with single-threaded BLAS, on small toy3 runs:
 - `evaluate --attack pgd` and `attack` on a 1200-row test split, so the
   per-batch attack seeds `(seed, idx)` of three 512-row batches, and the
   stacking of those batches into `adversarial.csv`, are hashed;
+- `attack` with radius 0.45, whose adversarial rows sit on the [0, 1]
+  faces where the ball and the feature box meet;
 - `sweep --etas 0,0.3,1.5`;
 - `fec --csv` on that sweep's `sweep.csv`, and `fec --reports` on the
   natural and the PGD report of the `evaluate` runs;
@@ -111,6 +113,13 @@ MATRIX = [
         [
             "attack", *SIZE, "--test-per-class", "400", "--checkpoint", CHECKPOINT,
             "--out", "attack_1200_rows",
+        ],
+    ),
+    (
+        "attack_wide_ball",
+        [
+            "attack", *SIZE, "--checkpoint", CHECKPOINT, "--epsilon", "0.45",
+            "--eval-attack-step-size", "0.1", "--out", "attack_wide_ball",
         ],
     ),
     ("sweep", ["sweep", *SIZE, "--etas", "0,0.3,1.5", "--out-root", "sweep"]),
