@@ -10,16 +10,18 @@ mean + sqrt(eta * variance) with its gradient from one computation of the
 moments; `worst_case_distribution` adds the maximizer, from an independent
 projected-gradient-ascent oracle where the closed form goes negative.
 
-The oracle and the simplex projection run their elementwise work on Python
-floats.  For the class counts this package trains on (K <= 12) one ascent
-step is a few dozen operations on K-element vectors, where numpy's per-call
-overhead outweighs the arithmetic; Python floats round exactly as numpy's
-elementwise operations do, so the results are bit-identical.  numpy keeps
-the two reductions whose summation order it decides: the sum in the
-divergence (`np.add.reduce`, the reduction `np.sum` runs) and `np.dot` for
-the objective.  Against whole-array numpy the list version is about 2.3x
-faster at K = 3 and 1.7x at K = 10, breaks even near K = 30, and is about
-2.5x slower at K = 100.
+The oracle and the simplex projection run on Python floats.  For the class
+counts this package trains on (K <= 12) one ascent step is a few dozen
+operations on K-element vectors, where numpy's per-call overhead outweighs
+the arithmetic; Python floats round exactly as numpy's elementwise
+operations do, so the results are bit-identical.  The divergence's sum is
+taken on Python floats too, in the order of numpy's pairwise summation
+(`_pairwise_sum`), so it equals `np.add.reduce` bit for bit.  numpy keeps
+only the dot product for the objective: at these sizes OpenBLAS's ddot
+rounds as a chain of fused multiply-adds, which Python floats cannot
+reproduce without `math.fma` (Python 3.13).  Against the version that
+summed with `np.add.reduce` and called `np.dot`, the oracle is about 1.6x
+faster at K = 3, 1.3x at K = 10 and 1.1x at K = 30, and even at K = 100.
 """
 
 from __future__ import annotations
@@ -195,12 +197,39 @@ def chi_square_divergence(p: ProbabilityDistribution, p0: ProbabilityDistributio
     return float(total)
 
 
+def _pairwise_sum(terms: list[float]) -> float:
+    # The sum np.add.reduce returns for a contiguous float64 array, in the
+    # order of numpy's pairwise_sum: sequential from 0.0 below 8 terms; up to
+    # 128 terms, eight running sums over the longest multiple-of-8 prefix,
+    # combined as a tree, then the rest added in turn; above 128, the sums of
+    # two halves, split at a multiple of 8.
+    n = len(terms)
+    if n < 8:
+        total = 0.0
+        for term in terms:
+            total += term
+        return total
+    if n <= 128:
+        body = n - n % 8
+        r = terms[:8]
+        for start in range(8, body, 8):
+            r = [a + b for a, b in zip(r, terms[start : start + 8])]
+        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        for term in terms[body:]:
+            total += term
+        return total
+    half = n // 2
+    half -= half % 8
+    return _pairwise_sum(terms[:half]) + _pairwise_sum(terms[half:])
+
+
 def _chi2_float(p: list[float], p0: list[float]) -> float:
     # Fast float path for the oracle's inner loop, where residuals are only
-    # required to close within _FEASIBILITY_TOL.  The terms are formed on
-    # Python floats; numpy sums them in its own order (np.add.reduce is the
-    # reduction np.sum runs, without np.sum's Python-level dispatch).
-    return float(np.add.reduce([(x - c) * (x - c) / c for x, c in zip(p, p0)]))
+    # required to close within _FEASIBILITY_TOL.  The terms are formed and
+    # summed on Python floats, in numpy's order, so the result is the one
+    # np.add.reduce gives bit for bit without its per-call cost.  The
+    # objective stays on numpy's dot: its ddot rounds as fused multiply-adds.
+    return _pairwise_sum([(x - c) * (x - c) / c for x, c in zip(p, p0)])
 
 
 def mean_variance_under(p0: ProbabilityDistribution, risks: ClassRiskVector) -> tuple[float, float]:
@@ -262,16 +291,19 @@ def simplex_project(v) -> ProbabilityDistribution:
 def _simplex_project_raw(values: list[float]) -> list[float]:
     # Sort and threshold on Python floats.  The descending sort and the
     # running sum are sequential, as np.sort and np.cumsum are; theta comes
-    # from the last index whose test holds.  The clip maps -0.0 to 0.0, as
-    # np.maximum(x, 0.0) does.
+    # from the last index whose test holds; a float index divides exactly as
+    # the integer would.  A float difference is positive exactly when
+    # x > theta, so the clip gives np.maximum(x - theta, 0.0), which maps
+    # -0.0 to 0.0.
     theta = 0.0
     cumulative = 0.0
-    for index, u in enumerate(sorted(values, reverse=True), start=1):
+    index = 0.0
+    for u in sorted(values, reverse=True):
+        index += 1.0
         cumulative += u
         if u + (1.0 - cumulative) / index > 0:
             theta = (cumulative - 1.0) / index
-    shifted = [x - theta for x in values]
-    return [d if d > 0.0 else 0.0 for d in shifted]
+    return [x - theta if x > theta else 0.0 for x in values]
 
 
 def _project_ambiguity(point: list[float], p0: list[float], eta: float) -> list[float]:
@@ -301,20 +333,22 @@ def oracle_worst_case(
     feasible point, because a fixed step stalls at O(step) error whenever
     the optimum has entries near the simplex boundary.
     Iterates are lists of Python floats (see the module docstring); the
-    objective is `np.dot` against the risk array.
+    objective is the risk array's `dot`, which is `np.dot` without the
+    module-level dispatch.
     """
     _check_paired(cfg.p0, risks)
     if cfg.eta == 0.0:
         return cfg.p0, float(np.dot(cfg.p0.weights, risks.risks))
     p0, r = cfg.p0.weights.tolist(), risks.risks.tolist()
+    objective_of = risks.risks.dot
     step = _ORACLE_STEP
     current = _project_ambiguity(p0, p0, cfg.eta)
     best = current
-    best_objective = float(np.dot(current, risks.risks))
+    best_objective = float(objective_of(current))
     stall = 0
     for _ in range(_ORACLE_ITERATIONS):
         candidate = _project_ambiguity([c + step * x for c, x in zip(current, r)], p0, cfg.eta)
-        objective = float(np.dot(candidate, risks.risks))
+        objective = float(objective_of(candidate))
         if objective > best_objective + 1e-15:
             best_objective = objective
             best = candidate

@@ -63,14 +63,25 @@ class EvalReport:
             "class_variance", "confusion", "attack", "seed",
         )
         check_artifact(payload, "evaluation report", REPORT_FORMAT, REPORT_VERSION, keys)
+
+        def read(key, convert):
+            try:
+                return convert(payload[key])
+            except (TypeError, ValueError):
+                raise ValueError(
+                    f"evaluation report field {key} is malformed: {json.dumps(payload[key])}"
+                ) from None
+
         return EvalReport(
-            per_class_accuracy=np.asarray(payload["per_class_accuracy"], dtype=np.float64),
-            average_accuracy=float(payload["average_accuracy"]),
-            worst_class_accuracy=float(payload["worst_class_accuracy"]),
-            class_variance=float(payload["class_variance"]),
-            confusion=np.asarray(payload["confusion"], dtype=np.int64),
+            per_class_accuracy=read(
+                "per_class_accuracy", lambda v: np.asarray(v, dtype=np.float64)
+            ),
+            average_accuracy=read("average_accuracy", float),
+            worst_class_accuracy=read("worst_class_accuracy", float),
+            class_variance=read("class_variance", float),
+            confusion=read("confusion", lambda v: np.asarray(v, dtype=np.int64)),
             attack=str(payload["attack"]),
-            seed=int(payload["seed"]),
+            seed=read("seed", int),
             attack_config=payload.get("attack_config"),
         )
 

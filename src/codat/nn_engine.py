@@ -307,6 +307,11 @@ def load_checkpoint(path) -> tuple[ModelParams, int, str]:
     check_artifact(payload, "model checkpoint", CHECKPOINT_FORMAT, CHECKPOINT_VERSION, keys)
     if payload.get("dtype", "float64") != "float64":
         raise ValueError(f"unsupported checkpoint dtype {payload['dtype']!r}; expected 'float64'")
+    for key in ("layer_dims", "weights", "biases"):
+        if not isinstance(payload[key], list):
+            raise ValueError(
+                f"model checkpoint {key} must be a list, got {type(payload[key]).__name__}"
+            )
     dims, weights, biases = payload["layer_dims"], payload["weights"], payload["biases"]
     layers = []
     for i in range(max(len(dims) - 1, len(weights), len(biases))):

@@ -310,22 +310,36 @@ class TestEvaluateCommand:
         assert "must be a JSON object, got list" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "weights, biases, message",
+        "dims, weights, biases, message",
         [
-            ([], [], "layer 0 needs a 3x2 weight and 3 biases"),
-            ([[0.1] * 6, [0.1] * 8], [[0.0] * 3] * 2, "layer 1 needs a 3x3 weight and 3 biases"),
+            ([2, 3, 3], [], [], "layer 0 needs a 3x2 weight and 3 biases"),
             (
+                [2, 3, 3],
+                [[0.1] * 6, [0.1] * 8],
+                [[0.0] * 3] * 2,
+                "layer 1 needs a 3x3 weight and 3 biases",
+            ),
+            (
+                [2, 3, 3],
                 [[0.1] * 6, [0.1] * 9, [0.1] * 9],
                 [[0.0] * 3] * 3,
                 "layer 2 lies beyond layer_dims [2, 3, 3]",
             ),
+            (5, [[0.1] * 6], [[0.0] * 3], "layer_dims must be a list, got int"),
+            ([2, 3], {"0": [0.1] * 6}, [[0.0] * 3], "weights must be a list, got dict"),
+            ([2, 3], [[0.1] * 6], None, "biases must be a list, got NoneType"),
         ],
-        ids=["empty", "wrong_size", "extra_layer"],
+        ids=[
+            "empty", "wrong_size", "extra_layer",
+            "dims_not_a_list", "weights_not_a_list", "biases_not_a_list",
+        ],
     )
-    def test_checkpoint_layers_must_fit_layer_dims(self, tmp_path, capsys, weights, biases, message):
+    def test_checkpoint_layers_must_fit_layer_dims(
+        self, tmp_path, capsys, dims, weights, biases, message
+    ):
         checkpoint = tmp_path / "misshapen.json"
         payload = {
-            "format": "codat-checkpoint", "version": 1, "layer_dims": [2, 3, 3],
+            "format": "codat-checkpoint", "version": 1, "layer_dims": dims,
             "weights": weights, "biases": biases, "seed": 0, "config_hash": "x",
         }
         checkpoint.write_text(json.dumps(payload), encoding="utf-8")
@@ -407,6 +421,26 @@ class TestFecCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert "lacks keys per_class_accuracy, average_accuracy, worst_class_accuracy" in err
+
+    @pytest.mark.parametrize(
+        "key, value, shown",
+        [("average_accuracy", None, "null"), ("seed", [1], "[1]")],
+        ids=["null_accuracy", "list_seed"],
+    )
+    def test_report_with_malformed_field_is_clean_error(
+        self, tmp_path, capsys, key, value, shown
+    ):
+        report = EvalReport(
+            np.array([0.5, 1.0]), 0.75, 0.5, 0.0625, np.array([[1, 1], [0, 2]]), "none", 0
+        ).to_dict()
+        report[key] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(report), encoding="utf-8")
+        rc = main(["fec", "--reports", str(path), "--baseline", "bad", "--out", str(tmp_path)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: evaluation report field {key} is malformed: {shown}\n"
+        )
 
 
 class TestOracleCommand:

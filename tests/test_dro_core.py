@@ -11,6 +11,7 @@ from codat.dro_core import (
     AmbiguityConfig,
     ClassRiskVector,
     ProbabilityDistribution,
+    _chi2_float,
     chi_square_divergence,
     closed_form,
     mean_variance_under,
@@ -448,6 +449,21 @@ def test_oracle_output_bytes_are_pinned():
     assert digest.hexdigest() == (
         "f822446120553ba32bf8d1d4277c2fb35cea3ab2e9a7af6e332ce5f646acd735"
     )
+
+
+def test_float_divergence_sums_in_numpy_order_bit_for_bit():
+    # K from 2 to 300 spans numpy's three pairwise-sum branches: sequential
+    # below 8 terms, eight running sums up to 128, recursive halving above;
+    # offsets over 4 decades spread the terms over about 8
+    rng = np.random.default_rng(14)
+    for k in range(2, 301):
+        for _ in range(4):
+            p0 = rng.uniform(0.1, 1.0, size=k)
+            offsets = rng.choice([-1.0, 1.0], size=k) * 10.0 ** rng.uniform(-4.0, 0.0, size=k)
+            p, c = (p0 + offsets * p0).tolist(), p0.tolist()
+            terms = [(x - ci) * (x - ci) / ci for x, ci in zip(p, c)]
+            expected = float(np.add.reduce(terms))
+            assert np.float64(_chi2_float(p, c)).tobytes() == np.float64(expected).tobytes(), k
 
 
 @pytest.mark.xfail(
