@@ -33,11 +33,16 @@ class Dataset(LabeledBatch):
         super().__post_init__()
         if self.split not in ("train", "test"):
             raise ValueError(f"split must be 'train' or 'test', got {self.split!r}")
-        # own the feature rows; the label array is already a fresh int64 copy
+        # own the feature rows, and hold the labels in the narrowest unsigned
+        # type of the largest label (uint8 for up to 255 classes): a split is
+        # kept whole for a run, while every batch drawn from it is cast back
+        # to int64 by LabeledBatch, so batch arithmetic is unchanged
         feats = self.features.copy()
+        labels = self.labels.astype(np.min_scalar_type(int(np.max(self.labels))))
         feats.flags.writeable = False
-        self.labels.flags.writeable = False
+        labels.flags.writeable = False
         object.__setattr__(self, "features", feats)
+        object.__setattr__(self, "labels", labels)
 
     @property
     def num_classes(self) -> int:

@@ -64,22 +64,38 @@ class EvalReport:
         )
         check_artifact(payload, "evaluation report", REPORT_FORMAT, REPORT_VERSION, keys)
 
-        def read(key, convert):
+        def read(key, convert, holds=lambda value: True):
+            # a field must convert, and the converted value must hold its check
             try:
-                return convert(payload[key])
+                value = convert(payload[key])
+                if holds(value):
+                    return value
             except (TypeError, ValueError):
-                raise ValueError(
-                    f"evaluation report field {key} is malformed: {json.dumps(payload[key])}"
-                ) from None
+                pass
+            raise ValueError(
+                f"evaluation report field {key} is malformed: {json.dumps(payload[key])}"
+            )
 
+        def fraction(value):
+            # written so that NaN, which fails every comparison, fails the check
+            return bool(np.all((value >= 0.0) & (value <= 1.0)))
+
+        # the confusion matrix fixes the class count K >= 2
+        confusion = read(
+            "confusion",
+            lambda v: np.asarray(v, dtype=np.int64),
+            lambda c: c.ndim == 2 and c.shape[0] == c.shape[1] >= 2 and np.min(c) >= 0,
+        )
         return EvalReport(
             per_class_accuracy=read(
-                "per_class_accuracy", lambda v: np.asarray(v, dtype=np.float64)
+                "per_class_accuracy",
+                lambda v: np.asarray(v, dtype=np.float64),
+                lambda a: a.shape == confusion.shape[:1] and fraction(a),
             ),
-            average_accuracy=read("average_accuracy", float),
-            worst_class_accuracy=read("worst_class_accuracy", float),
-            class_variance=read("class_variance", float),
-            confusion=read("confusion", lambda v: np.asarray(v, dtype=np.int64)),
+            average_accuracy=read("average_accuracy", float, fraction),
+            worst_class_accuracy=read("worst_class_accuracy", float, fraction),
+            class_variance=read("class_variance", float, lambda v: 0.0 <= v < math.inf),
+            confusion=confusion,
             attack=str(payload["attack"]),
             seed=read("seed", int),
             attack_config=payload.get("attack_config"),

@@ -424,8 +424,27 @@ class TestFecCommand:
 
     @pytest.mark.parametrize(
         "key, value, shown",
-        [("average_accuracy", None, "null"), ("seed", [1], "[1]")],
-        ids=["null_accuracy", "list_seed"],
+        [
+            ("average_accuracy", None, "null"),
+            ("seed", [1], "[1]"),
+            ("per_class_accuracy", None, "null"),
+            ("per_class_accuracy", [0.5, 1.5], "[0.5, 1.5]"),
+            ("per_class_accuracy", [0.5, 1.0, 1.0], "[0.5, 1.0, 1.0]"),
+            ("average_accuracy", 7.5, "7.5"),
+            ("average_accuracy", float("nan"), "NaN"),
+            ("worst_class_accuracy", -0.25, "-0.25"),
+            ("class_variance", -0.0625, "-0.0625"),
+            ("class_variance", float("inf"), "Infinity"),
+            ("confusion", [[4]], "[[4]]"),
+            ("confusion", [[1, 1, 0], [0, 2, 0]], "[[1, 1, 0], [0, 2, 0]]"),
+            ("confusion", [[1, -1], [0, 2]], "[[1, -1], [0, 2]]"),
+        ],
+        ids=[
+            "null_accuracy", "list_seed", "null_per_class", "per_class_above_one",
+            "per_class_too_many", "percent_average", "nan_average", "negative_worst",
+            "negative_variance", "infinite_variance", "one_class", "confusion_not_square",
+            "negative_cell",
+        ],
     )
     def test_report_with_malformed_field_is_clean_error(
         self, tmp_path, capsys, key, value, shown

@@ -144,6 +144,16 @@ def test_idx_round_trip_of_hand_built_fixture(tmp_path):
     assert ds.provenance["label_shift"] == 1
 
 
+def test_idx_labels_are_held_in_the_narrowest_unsigned_type(tmp_path):
+    # file labels 0 and 255 become 1 and 256, which needs 16 bits
+    images_path, labels_path = write_idx_pair(tmp_path, pixels=[0] * 8, labels=[0, 255])
+    ds = load_idx(images_path, labels_path)
+    assert ds.labels.dtype == np.uint16
+    np.testing.assert_array_equal(ds.labels, [1, 256])
+    assert ds.num_classes == 256
+    assert ds.class_counts[0] == ds.class_counts[255] == 1
+
+
 def test_idx_normalization_endpoints(tmp_path):
     images_path, labels_path = write_idx_pair(tmp_path, pixels=[255, 0, 0, 0], labels=[1])
     ds = load_idx(images_path, labels_path)
@@ -285,6 +295,14 @@ def test_batching_emits_final_short_batch_and_partitions_exactly():
     all_rows = np.concatenate([b.features for b in batches])
     reference = ds.features[np.lexsort(ds.features.T)]
     np.testing.assert_array_equal(all_rows[np.lexsort(all_rows.T)], reference)
+
+
+def test_toy3_labels_are_uint8_and_batches_cast_them_to_int64():
+    ds = gen_gaussian_mixture(toy3_spec(samples_per_class=20, seed=0))
+    assert ds.labels.dtype == np.uint8
+    assert not ds.labels.flags.writeable
+    np.testing.assert_array_equal(ds.class_counts, [20, 20, 20])
+    assert all(b.labels.dtype == np.int64 for b in batch_iter(ds, 16, seed=2))
 
 
 def test_batching_rejects_batch_size_below_one():

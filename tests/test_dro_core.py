@@ -14,6 +14,7 @@ from codat.dro_core import (
     _chi2_float,
     chi_square_divergence,
     closed_form,
+    exact_worst_case,
     mean_variance_under,
     oracle_worst_case,
     simplex_project,
@@ -186,21 +187,27 @@ def test_worst_case_negative_entry_falls_back_to_oracle():
     sol = worst_case_distribution(ClassRiskVector([0.0, 10.0, 10.0]), cfg)
     assert not sol.closed_form.valid
     assert not sol.closed_form.degenerate
-    # the constrained optimum drops the zero-risk class entirely
+    # the constrained optimum drops the zero-risk class entirely; p0 on the
+    # tied pair has divergence 0.5 <= 1.9, so the ball is slack there
     assert sol.objective_value == pytest.approx(10.0, abs=1e-6)
     np.testing.assert_allclose(sol.distribution.weights, [0.0, 0.5, 0.5], atol=1e-6)
 
 
 def test_closed_form_is_invalid_exactly_where_the_oracle_takes_over(monkeypatch):
+    # the exact solver takes over where the closed form fails, and only there
     from codat import dro_core
 
     solved = []
 
-    def counting_oracle(risks, cfg):
+    def counting_exact(risks, cfg):
         solved.append(risks)
-        return oracle_worst_case(risks, cfg)
+        return exact_worst_case(risks, cfg)
 
-    monkeypatch.setattr(dro_core, "oracle_worst_case", counting_oracle)
+    def no_oracle(risks, cfg):
+        raise AssertionError("worst_case_distribution called the projected-ascent oracle")
+
+    monkeypatch.setattr(dro_core, "exact_worst_case", counting_exact)
+    monkeypatch.setattr(dro_core, "oracle_worst_case", no_oracle)
     rng = np.random.default_rng(23)
     fallbacks = 0
     for _ in range(40):
@@ -216,14 +223,122 @@ def test_closed_form_is_invalid_exactly_where_the_oracle_takes_over(monkeypatch)
             fallbacks += 1
             assert not sol.closed_form.valid and not sol.closed_form.degenerate
             assert solved and solved[-1] is risks
+            dist, objective, multiplier = exact_worst_case(risks, cfg)
+            assert dist.weights.tobytes() == sol.distribution.weights.tobytes()
+            assert (objective, multiplier) == (sol.objective_value, sol.multiplier)
         else:
             assert form.gradient.tobytes() == sol.distribution.weights.tobytes()
             solved_form = sol.closed_form
             assert form.objective == sol.objective_value
-            assert form.multiplier == solved_form.multiplier
+            assert form.multiplier == solved_form.multiplier == sol.multiplier
             assert (form.valid, form.degenerate) == (solved_form.valid, solved_form.degenerate)
     assert fallbacks > 0
     assert len(solved) == fallbacks
+
+
+def _closed_form_failures(seed, count):
+    # random instances where the closed form has a negative entry: K from 2
+    # to 9, a Dirichlet center on every third, risks rounded to 0.1 on every
+    # fourth and 1e-12 near ties of the top risk on every fifth
+    rng = np.random.default_rng(seed)
+    cases = []
+    index = 0
+    while len(cases) < count:
+        index += 1
+        k = int(rng.integers(2, 10))
+        risks = rng.uniform(0.0, 5.0, size=k)
+        if index % 4 == 0:
+            risks = np.round(risks, 1)
+        if index % 5 == 0:
+            near = rng.random(k) < 0.5
+            risks[near] = np.max(risks) - rng.integers(0, 4, size=k)[near] * 1e-12
+        if index % 3 == 0:
+            p0 = ProbabilityDistribution(rng.dirichlet(np.full(k, 4.0)))
+        else:
+            p0 = uniform_distribution(k)
+        cfg = AmbiguityConfig(p0, float(rng.uniform(0.05, 0.999 * (k - 1))))
+        form = closed_form(ClassRiskVector(risks), cfg)
+        if not form.valid and not form.degenerate:
+            cases.append((ClassRiskVector(risks), cfg))
+    return cases
+
+
+def test_multiplier_gives_the_likelihood_ratio_where_the_closed_form_fails():
+    # p_i = p0_i (r_i - t)_+ / (2 alpha) for one threshold t where the ball
+    # binds; alpha = 0 where it is slack, and then the objective is the top risk
+    slack = 0
+    for risks, cfg in _closed_form_failures(seed=31, count=300):
+        sol = worst_case_distribution(risks, cfg)
+        p, p0, r = sol.distribution.weights, cfg.p0.weights, risks.risks
+        if sol.multiplier == 0.0:
+            slack += 1
+            assert sol.objective_value == pytest.approx(float(np.max(r)), abs=1e-12)
+            assert chi_square_divergence(sol.distribution, cfg.p0) <= cfg.eta
+            continue
+        assert sol.multiplier > 0.0
+        assert sol.multiplier != sol.closed_form.multiplier
+        # t measured from the top risk, so that 1e-12 near ties stay resolved
+        top = int(np.argmax(r))
+        shifted = r - r[top]
+        threshold = -2.0 * sol.multiplier * p[top] / p0[top]
+        expected = p0 * np.maximum(shifted - threshold, 0.0) / (2.0 * sol.multiplier)
+        np.testing.assert_allclose(p, expected, rtol=0.0, atol=1e-9)
+        assert chi_square_divergence(sol.distribution, cfg.p0) == pytest.approx(
+            cfg.eta, abs=1e-9
+        )
+    assert slack > 0
+
+
+def test_slack_ball_returns_the_center_on_the_tied_top_classes():
+    # p0 on the two tied top classes has divergence 1 <= 1.5: the ball is slack
+    cfg = AmbiguityConfig(uniform_distribution(4), eta=1.5)
+    sol = worst_case_distribution(ClassRiskVector([3.0, 1.0, 3.0, 0.0]), cfg)
+    assert not sol.closed_form.valid
+    np.testing.assert_array_equal(sol.distribution.weights, [0.5, 0.0, 0.5, 0.0])
+    assert (sol.objective_value, sol.multiplier) == (3.0, 0.0)
+
+
+@st.composite
+def _failing_instances(draw):
+    k = draw(st.integers(2, 6))
+    base = draw(st.lists(st.floats(0.0, 5.0), min_size=k, max_size=k))
+    kind = draw(st.sampled_from(["plain", "tenths", "ties", "near_ties"]))
+    if kind == "tenths":
+        risks = [round(x, 1) for x in base]
+    elif kind == "ties":
+        tied = draw(st.lists(st.booleans(), min_size=k, max_size=k))
+        risks = [max(base) if flag else x for x, flag in zip(base, tied)]
+    elif kind == "near_ties":
+        # one class at least 1 below k - 1 distinct risks at most 4e-12 apart
+        offsets = draw(
+            st.lists(st.integers(0, 4), min_size=k - 1, max_size=k - 1, unique=True)
+        )
+        risks = [base[0]] + [max(base) + 1.0 - n * 1e-12 for n in offsets]
+    else:
+        risks = base
+    if draw(st.booleans()):
+        p0 = uniform_distribution(k)
+    else:
+        raw = np.asarray(draw(st.lists(st.floats(0.1, 1.0), min_size=k, max_size=k)))
+        p0 = ProbabilityDistribution(raw / np.sum(raw))
+    eta = draw(st.floats(0.01, 0.99)) * (k - 1)
+    return ClassRiskVector(risks), AmbiguityConfig(p0, eta)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(_failing_instances())
+def test_exact_solver_is_feasible_and_never_below_the_oracle(instance):
+    risks, cfg = instance
+    form = closed_form(risks, cfg)
+    assume(not form.valid and not form.degenerate)
+    dist, objective, multiplier = exact_worst_case(risks, cfg)
+    assert float(np.min(dist.weights)) >= 0.0
+    assert abs(float(np.sum(dist.weights)) - 1.0) <= 1e-9
+    assert chi_square_divergence(dist, cfg.p0) <= cfg.eta + 1e-9
+    assert objective == float(risks.risks.dot(dist.weights))
+    assert multiplier >= 0.0
+    _, oracle_objective = oracle_worst_case(risks, cfg)
+    assert objective >= oracle_objective - 1e-9
 
 
 def test_worst_case_weights_grow_with_risk():
@@ -466,11 +581,6 @@ def test_float_divergence_sums_in_numpy_order_bit_for_bit():
             assert np.float64(_chi2_float(p, c)).tobytes() == np.float64(expected).tobytes(), k
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="ROADMAP item 2: projected ascent stalls inside the ball when the top "
-    "risks nearly tie; the exact best response replaces it",
-)
 def test_fallback_reaches_the_best_response_on_a_near_tie():
     cfg = AmbiguityConfig(uniform_distribution(3), eta=1.5)
     sol = worst_case_distribution(ClassRiskVector([0.48, 1.33, 1.32]), cfg)
@@ -479,6 +589,10 @@ def test_fallback_reaches_the_best_response_on_a_near_tie():
     # 1/3 + 3 ((1/6 + t)^2 + (1/6 - t)^2) = 1.5, so t = sqrt(1/6).
     best_objective = 0.5 * (1.33 + 1.32) + 0.01 * math.sqrt(1.0 / 6.0)
     assert sol.objective_value == pytest.approx(best_objective, abs=1e-6)
+    np.testing.assert_allclose(sol.distribution.weights, [0.0, 0.908, 0.092], atol=1e-3)
+    # alpha = (B - tA) / 2 on the two-class support, not the closed form's 0.1626
+    assert sol.multiplier == pytest.approx(0.0025 * math.sqrt(2.0 / 3.0), rel=1e-9)
+    assert sol.closed_form.multiplier == pytest.approx(0.1626, abs=1e-4)
 
 
 # ---------------------------------------------------------- projection

@@ -101,6 +101,24 @@ def test_confusion_cells_land_where_predicted_across_a_short_final_batch():
     assert report.average_accuracy == 560 / 609
 
 
+def test_twenty_class_confusion_is_exact_with_narrow_labels():
+    # the dataset holds uint8 labels; (label - 1) * 20 + prediction reaches
+    # 399, which would wrap in uint8, so the cell index must be formed wide
+    rng = np.random.default_rng(20)
+    wanted = rng.integers(0, 3, size=(20, 20))
+    wanted[np.arange(20), np.arange(20)] += 1
+    true, pred = np.nonzero(wanted)
+    labels = np.repeat(true + 1, wanted[true, pred])
+    predicted = np.repeat(pred, wanted[true, pred])
+    data = Dataset(np.eye(20)[predicted], labels, "test")
+    assert data.labels.dtype == np.uint8
+    report = evaluate(ModelParams([(np.eye(20), np.zeros(20))]), data)
+    np.testing.assert_array_equal(report.confusion, wanted)
+    np.testing.assert_array_equal(
+        report.per_class_accuracy, np.diag(wanted) / wanted.sum(axis=1)
+    )
+
+
 def test_evaluate_rejects_predictions_beyond_the_data_classes():
     # a 3-output model on 2-class data: its third class has no confusion row
     model = ModelParams([(np.eye(3)[:, :2], np.array([0.0, 0.0, 5.0]))])

@@ -444,6 +444,21 @@ class TestTrainingLoop:
         assert history.records[0].closed_form_fraction < 1.0
         assert calls == {"moments": batches, "solver": batches}
 
+    def test_training_never_calls_the_projected_ascent_oracle(self, monkeypatch):
+        # closed-form failures take the exact solver; the oracle is a test reference
+        from codat import dro_core
+
+        def no_oracle(risks, cfg):
+            raise AssertionError("training called oracle_worst_case")
+
+        monkeypatch.setattr(dro_core, "oracle_worst_case", no_oracle)
+        config = make_config("codat", eta=1.5, epochs=2, batch_size=20)
+        _, history = train(config, small_dataset(per_class=40))
+        assert all(record.closed_form_fraction < 1.0 for record in history.records)
+        for record in history.records:
+            assert min(record.class_weights) >= 0.0
+            assert sum(record.class_weights) == pytest.approx(1.0, abs=1e-12)
+
     def test_dispatch_validates_method_field(self):
         assert sorted(STEP_FNS) == sorted(VALID_METHODS)
         data = small_dataset(per_class=5)
