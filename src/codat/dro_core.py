@@ -10,22 +10,10 @@ mean + sqrt(eta * variance) with its gradient from one computation of the
 moments; `worst_case_distribution` adds the maximizer and its multiplier,
 from the exact best response `exact_worst_case` where the closed form goes
 negative.  That solver sorts the risks once and takes one square root per
-candidate support, on Python floats: about 35 microseconds a call at K = 3
-and at K = 10, against 33 to 43 ms for the projected ascent it replaced on
-this path.
+candidate support, on Python floats: 35 microseconds a call at K = 3 or 10.
 
-`oracle_worst_case` is an independent projected-gradient-ascent solver,
-kept to check both in tests and in `codat oracle`.  It and the simplex
-projection run on Python floats.  For the class counts this package trains
-on (K <= 12) one ascent step is a few dozen operations on K-element
-vectors, where numpy's per-call overhead outweighs the arithmetic; Python
-floats round exactly as numpy's elementwise operations do, so the results
-are bit-identical.  The divergence's sum is taken on Python floats too, in
-the order of numpy's pairwise summation (`_pairwise_sum`), so it equals
-`np.add.reduce` bit for bit.  numpy keeps only the dot product for the
-objective: at these sizes OpenBLAS's ddot rounds as a chain of fused
-multiply-adds, which Python floats cannot reproduce without `math.fma`
-(Python 3.13).
+`oracle_worst_case` solves the same problem through its dual, calling
+neither solver; it is kept to check both, in tests and in `codat oracle`.
 """
 
 from __future__ import annotations
@@ -40,13 +28,6 @@ import numpy as np
 # constant, every feasible distribution attains the same objective, and the
 # center p0 is returned as the canonical maximizer.
 ZERO_VARIANCE_GUARD = 1e-12
-
-# Feasibility tolerance for the oracle's alternating projection.
-_FEASIBILITY_TOL = 1e-9
-
-# Projected ascent runs at most this many steps, starting at this step size.
-_ORACLE_ITERATIONS = 5000
-_ORACLE_STEP = 0.01
 
 
 def _as_readonly(values) -> np.ndarray:
@@ -208,41 +189,6 @@ def chi_square_divergence(p: ProbabilityDistribution, p0: ProbabilityDistributio
     return float(total)
 
 
-def _pairwise_sum(terms: list[float]) -> float:
-    # The sum np.add.reduce returns for a contiguous float64 array, in the
-    # order of numpy's pairwise_sum: sequential from 0.0 below 8 terms; up to
-    # 128 terms, eight running sums over the longest multiple-of-8 prefix,
-    # combined as a tree, then the rest added in turn; above 128, the sums of
-    # two halves, split at a multiple of 8.
-    n = len(terms)
-    if n < 8:
-        total = 0.0
-        for term in terms:
-            total += term
-        return total
-    if n <= 128:
-        body = n - n % 8
-        r = terms[:8]
-        for start in range(8, body, 8):
-            r = [a + b for a, b in zip(r, terms[start : start + 8])]
-        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-        for term in terms[body:]:
-            total += term
-        return total
-    half = n // 2
-    half -= half % 8
-    return _pairwise_sum(terms[:half]) + _pairwise_sum(terms[half:])
-
-
-def _chi2_float(p: list[float], p0: list[float]) -> float:
-    # Fast float path for the oracle's inner loop, where residuals are only
-    # required to close within _FEASIBILITY_TOL.  The terms are formed and
-    # summed on Python floats, in numpy's order, so the result is the one
-    # np.add.reduce gives bit for bit without its per-call cost.  The
-    # objective stays on numpy's dot: its ddot rounds as fused multiply-adds.
-    return _pairwise_sum([(x - c) * (x - c) / c for x, c in zip(p, p0)])
-
-
 def mean_variance_under(p0: ProbabilityDistribution, risks: ClassRiskVector) -> tuple[float, float]:
     """Mean and variance of the risk vector under `p0`, variance clamped at 0."""
     _check_paired(p0, risks)
@@ -343,99 +289,45 @@ def exact_worst_case(
     return dist, float(risks.risks.dot(dist.weights)), multiplier
 
 
-def simplex_project(v) -> ProbabilityDistribution:
-    """Euclidean projection onto the probability simplex (sort and threshold).
-
-    Finite input fails only where float64 rounding loses unit mass (entries
-    from about 2**53 in magnitude); it is rejected with its largest magnitude.
-    """
-    arr = np.asarray(v, dtype=np.float64)
-    if arr.ndim != 1 or arr.size < 2:
-        raise ValueError(f"need a 1-d vector of length >= 2, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("cannot project a non-finite vector")
-    try:
-        return ProbabilityDistribution(_simplex_project_raw(arr.tolist()))
-    except ValueError:
-        raise ValueError(
-            f"cannot project onto the simplex: largest magnitude {float(np.max(np.abs(arr)))} "
-            "is too large for float64 to resolve unit mass"
-        ) from None
-
-
-def _simplex_project_raw(values: list[float]) -> list[float]:
-    # Sort and threshold on Python floats.  The descending sort and the
-    # running sum are sequential, as np.sort and np.cumsum are; theta comes
-    # from the last index whose test holds; a float index divides exactly as
-    # the integer would.  A float difference is positive exactly when
-    # x > theta, so the clip gives np.maximum(x - theta, 0.0), which maps
-    # -0.0 to 0.0.
-    theta = 0.0
-    cumulative = 0.0
-    index = 0.0
-    for u in sorted(values, reverse=True):
-        index += 1.0
-        cumulative += u
-        if u + (1.0 - cumulative) / index > 0:
-            theta = (cumulative - 1.0) / index
-    return [x - theta if x > theta else 0.0 for x in values]
-
-
-def _project_ambiguity(point: list[float], p0: list[float], eta: float) -> list[float]:
-    # Alternate simplex projection with radial scaling toward the center until
-    # both the simplex and the ball constraint hold within _FEASIBILITY_TOL.
-    q = _simplex_project_raw(point)
-    for _ in range(200):
-        divergence = _chi2_float(q, p0)
-        if divergence <= eta + _FEASIBILITY_TOL:
-            return q
-        scale = math.sqrt(eta / divergence)
-        q = _simplex_project_raw([c + scale * (x - c) for x, c in zip(q, p0)])
-    raise RuntimeError(
-        f"feasibility repair did not converge: residual {divergence - eta:.3e} after 200 rounds"
-    )
-
-
 def oracle_worst_case(
     risks: ClassRiskVector, cfg: AmbiguityConfig
 ) -> tuple[ProbabilityDistribution, float]:
-    """Projected gradient ascent on E_P[R] over the chi-square ball.
+    """The maximizer over the chi-square ball and its objective, from the dual.
 
-    Independent numeric check of `worst_case_distribution`, which never
-    calls it.  Ascent takes at most _ORACLE_ITERATIONS steps from step size
-    _ORACLE_STEP; once iterates stop improving the step anneals by 0.3 and
-    ascent resumes from the best feasible point, because a fixed step stalls
-    at O(step) error whenever the optimum has entries near the simplex
-    boundary.  It can still stop short inside the ball when the top risks
-    nearly tie.  Iterates are lists of Python floats (see the module
-    docstring); the objective is the risk array's `dot`, which is `np.dot`
-    without the module-level dispatch.
+    Checks `closed_form` and `exact_worst_case` without calling either.  The
+    Cressie-Read k = 2 dual (Duchi & Namkoong, Annals of Statistics 2021) is
+    max_P E_P[R] = min_t t + sqrt(1 + eta) sqrt(E_p0[(R - t)_+^2]), and its
+    minimizing t gives the maximizer p0 (R - t)_+ / E_p0[(R - t)_+].  The
+    slope is negative exactly where that point lies strictly inside the ball:
+    bisection between the closed form's threshold mean - sqrt(variance / eta)
+    and the top risk keeps that feasible end until no float lies between the
+    two.  If p0 on the tied top classes is in the ball, the ball is slack and
+    that point is the answer.  Python floats shifted to the top risk keep
+    near ties' relative precision.
     """
     _check_paired(cfg.p0, risks)
-    if cfg.eta == 0.0:
+    w, r = cfg.p0.weights.tolist(), risks.risks.tolist()
+    top = max(v for v, c in zip(r, w) if c > 0.0)
+    x = [v - top for v in r]
+    if cfg.eta == 0.0 or all(v == 0.0 for v, c in zip(x, w) if c > 0.0):
         return cfg.p0, float(np.dot(cfg.p0.weights, risks.risks))
-    p0, r = cfg.p0.weights.tolist(), risks.risks.tolist()
-    objective_of = risks.risks.dot
-    step = _ORACLE_STEP
-    current = _project_ambiguity(p0, p0, cfg.eta)
-    best = current
-    best_objective = float(objective_of(current))
-    stall = 0
-    for _ in range(_ORACLE_ITERATIONS):
-        candidate = _project_ambiguity([c + step * x for c, x in zip(current, r)], p0, cfg.eta)
-        objective = float(objective_of(candidate))
-        if objective > best_objective + 1e-15:
-            best_objective = objective
-            best = candidate
-            stall = 0
-        else:
-            stall += 1
-        if stall >= 20 or candidate == current:
-            step *= 0.3
-            stall = 0
-            if step < 1e-9:
-                break
-            current = best
-        else:
-            current = candidate
-    return ProbabilityDistribution(best), best_objective
+    if (1.0 + cfg.eta) * sum(c for c, v in zip(w, x) if v == 0.0) >= 1.0:
+        lo = 0.5 * max(v for v in x if v < 0.0)  # any threshold between the top two risks
+    else:
+        mean = sum(c * v for c, v in zip(w, x))
+        variance = sum(c * (v - mean) * (v - mean) for c, v in zip(w, x))
+        # just below the closed form's threshold, which is at most 0; two
+        # square roots, so that a tiny radius does not overflow
+        lo, hi = (mean - math.sqrt(variance) / math.sqrt(cfg.eta)) * (1.0 + 1e-9) - 1e-9, 0.0
+        while lo < (mid := 0.5 * (lo + hi)) < hi:
+            # the slope is negative where eta E[X]^2 > Var X for X = (x - mid)_+
+            # under p0; the centred variance keeps tiny radii precise
+            tail = [v - mid if v > mid else 0.0 for v in x]
+            first = sum(c * d for c, d in zip(w, tail))
+            if cfg.eta * first * first > sum(c * (d - first) ** 2 for c, d in zip(w, tail)):
+                lo = mid
+            else:
+                hi = mid
+    weights = [c * (v - lo) if v > lo else 0.0 for c, v in zip(w, x)]
+    dist = ProbabilityDistribution(np.divide(weights, sum(weights)))
+    return dist, float(risks.risks.dot(dist.weights))

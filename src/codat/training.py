@@ -99,7 +99,15 @@ class TrainConfig:
 
 @dataclass(frozen=True)
 class EpochRecord:
-    """One completed epoch: losses, per-class risks, class weights, bookkeeping."""
+    """One completed epoch: losses, per-class risks, class weights, bookkeeping.
+
+    `weight_objective_gap` is the largest |class_row . risks - loss| over the
+    batches where the closed form held or was not used (every batch of the
+    other methods, and codat's single-class batches), and None if there
+    were none.  It skips the codat batches where the closed form failed,
+    which route a negative class weight (or have constant risks): their
+    `class_row` is the exact worst case, not the routing row.
+    """
 
     epoch: int
     loss: float

@@ -475,26 +475,29 @@ class TestOracleCommand:
         payload = json.loads(capsys.readouterr().out)
         assert payload["max_objective_gap"] <= 1e-6
 
-    def test_failed_trials_are_counted_not_solved(self, monkeypatch, capsys):
-        from codat import cli, dro_core
+    def test_readme_command_solves_every_trial(self, monkeypatch, capsys):
+        from codat import cli
 
-        real_oracle = dro_core.oracle_worst_case
+        real_oracle = cli.oracle_worst_case
         solved = []
 
         def counting_oracle(risks, cfg):
             solved.append(risks.size)
             return real_oracle(risks, cfg)
 
-        def no_fallback(risks, cfg):
-            raise AssertionError("a trial without a valid closed form was solved")
-
         monkeypatch.setattr(cli, "oracle_worst_case", counting_oracle)
-        monkeypatch.setattr(dro_core, "oracle_worst_case", no_fallback)
-        args = ["oracle", "--trials", "30", "--classes", "10", "--eta", "2.0", "--seed", "7"]
+        args = ["oracle", "--trials", "200", "--classes", "10", "--eta", "2.0", "--seed", "7"]
         assert main(args) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["closed_form_invalid"] > 0
-        assert len(solved) == payload["closed_form_valid"]
+        assert payload["closed_form_valid"] > 0 and payload["closed_form_invalid"] > 0
+        assert len(solved) == 200
+        for key in (
+            "max_objective_gap",
+            "max_distribution_gap",
+            "max_exact_objective_gap",
+            "max_exact_distribution_gap",
+        ):
+            assert payload[key] <= 1e-9, key
 
     def test_zero_trials_rejected(self, capsys):
         assert main(["oracle", "--trials", "0"]) == 2

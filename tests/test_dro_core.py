@@ -1,4 +1,3 @@
-import hashlib
 import math
 
 import numpy as np
@@ -11,13 +10,11 @@ from codat.dro_core import (
     AmbiguityConfig,
     ClassRiskVector,
     ProbabilityDistribution,
-    _chi2_float,
     chi_square_divergence,
     closed_form,
     exact_worst_case,
     mean_variance_under,
     oracle_worst_case,
-    simplex_project,
     uniform_distribution,
     worst_case_distribution,
 )
@@ -204,7 +201,7 @@ def test_closed_form_is_invalid_exactly_where_the_oracle_takes_over(monkeypatch)
         return exact_worst_case(risks, cfg)
 
     def no_oracle(risks, cfg):
-        raise AssertionError("worst_case_distribution called the projected-ascent oracle")
+        raise AssertionError("worst_case_distribution called the dual oracle")
 
     monkeypatch.setattr(dro_core, "exact_worst_case", counting_exact)
     monkeypatch.setattr(dro_core, "oracle_worst_case", no_oracle)
@@ -289,6 +286,30 @@ def test_multiplier_gives_the_likelihood_ratio_where_the_closed_form_fails():
     assert slack > 0
 
 
+def test_exact_solver_carries_its_dual_certificate():
+    # where alpha > 0, the threshold t = r_i - 2 alpha p_i / p0_i of a class on
+    # the support attains the dual t + sqrt(1 + eta) sqrt(E_p0[(R - t)_+^2]) at
+    # the objective, which certifies p and alpha with no search; where alpha
+    # is 0 the ball is slack and p is p0 on the tied top classes
+    binding = slack = 0
+    for risks, cfg in _closed_form_failures(seed=53, count=2000):
+        dist, objective, multiplier = exact_worst_case(risks, cfg)
+        p, p0, r = dist.weights, cfg.p0.weights, risks.risks
+        if multiplier == 0.0:
+            slack += 1
+            top = r == np.max(r)
+            expected = np.where(top, p0, 0.0) / np.sum(p0[top])
+            np.testing.assert_allclose(p, expected, rtol=1e-15, atol=0.0)
+            continue
+        binding += 1
+        i = int(np.argmax(p))
+        t = r[i] - 2.0 * multiplier * p[i] / p0[i]
+        tail = float(np.dot(p0, np.maximum(r - t, 0.0) ** 2))
+        dual = t + math.sqrt(1.0 + cfg.eta) * math.sqrt(tail)
+        assert abs(dual - objective) <= 1e-12 * abs(objective)
+    assert binding > 0 and slack > 0
+
+
 def test_slack_ball_returns_the_center_on_the_tied_top_classes():
     # p0 on the two tied top classes has divergence 1 <= 1.5: the ball is slack
     cfg = AmbiguityConfig(uniform_distribution(4), eta=1.5)
@@ -296,6 +317,10 @@ def test_slack_ball_returns_the_center_on_the_tied_top_classes():
     assert not sol.closed_form.valid
     np.testing.assert_array_equal(sol.distribution.weights, [0.5, 0.0, 0.5, 0.0])
     assert (sol.objective_value, sol.multiplier) == (3.0, 0.0)
+    # the dual's slope stays negative up to the top risk: the same point
+    dist, objective = oracle_worst_case(ClassRiskVector([3.0, 3.0, 1.0, 0.5]), cfg)
+    np.testing.assert_array_equal(dist.weights, [0.5, 0.5, 0.0, 0.0])
+    assert objective == 3.0
 
 
 @st.composite
@@ -327,18 +352,34 @@ def _failing_instances(draw):
 
 @settings(derandomize=True, deadline=None, max_examples=150)
 @given(_failing_instances())
-def test_exact_solver_is_feasible_and_never_below_the_oracle(instance):
+def test_exact_solver_agrees_with_the_dual_oracle(instance):
     risks, cfg = instance
     form = closed_form(risks, cfg)
     assume(not form.valid and not form.degenerate)
-    dist, objective, multiplier = exact_worst_case(risks, cfg)
-    assert float(np.min(dist.weights)) >= 0.0
-    assert abs(float(np.sum(dist.weights)) - 1.0) <= 1e-9
-    assert chi_square_divergence(dist, cfg.p0) <= cfg.eta + 1e-9
-    assert objective == float(risks.risks.dot(dist.weights))
+    exact, objective, multiplier = exact_worst_case(risks, cfg)
+    dual, dual_objective = oracle_worst_case(risks, cfg)
+    assert abs(objective - dual_objective) <= 1e-9 * max(1.0, abs(objective))
+    for dist, value in ((exact, objective), (dual, dual_objective)):
+        assert chi_square_divergence(dist, cfg.p0) <= cfg.eta + 1e-9
+        assert value == float(risks.risks.dot(dist.weights))
     assert multiplier >= 0.0
-    _, oracle_objective = oracle_worst_case(risks, cfg)
-    assert objective >= oracle_objective - 1e-9
+
+
+@settings(derandomize=True, deadline=None, max_examples=50)
+@given(_failing_instances(), st.integers(0, 2**32 - 1))
+def test_dual_oracle_is_never_below_a_feasible_point(instance, seed):
+    # Dirichlet draws pulled toward p0 into the ball: chi2 scales with the
+    # square of the pull, and the slack absorbs the pull's rounding
+    risks, cfg = instance
+    _, dual_objective = oracle_worst_case(risks, cfg)
+    rng = np.random.default_rng(seed)
+    p0 = cfg.p0.weights
+    for _ in range(200):
+        point = ProbabilityDistribution(rng.dirichlet(np.ones(p0.size)))
+        while (divergence := chi_square_divergence(point, cfg.p0)) > cfg.eta:
+            pull = 0.999999 * math.sqrt(cfg.eta / divergence)
+            point = ProbabilityDistribution(p0 + pull * (point.weights - p0))
+        assert float(risks.risks.dot(point.weights)) <= dual_objective * (1.0 + 1e-12)
 
 
 def test_worst_case_weights_grow_with_risk():
@@ -520,65 +561,29 @@ def test_oracle_zero_radius_returns_center_and_mean():
     assert objective == pytest.approx(2.0, abs=1e-12)
 
 
-def test_oracle_iterate_is_always_feasible():
-    rng = np.random.default_rng(17)
-    for _ in range(20):
-        k = int(rng.integers(2, 11))
-        risks = ClassRiskVector(rng.uniform(0, 5, size=k))
-        cfg = AmbiguityConfig(uniform_distribution(k), eta=float(rng.uniform(0.05, 1.5 * (k - 1) / 2)))
+def test_oracle_keeps_its_precision_at_tiny_radii():
+    # 1 + eta rounds to 1 below about 1e-16, and sqrt(variance / eta)
+    # overflows near 1e-308; the slope's sign must still resolve
+    risks = ClassRiskVector([1.0, 2.0, 3.0, 0.5])
+    for eta in (1e-300, 1e-20, 1e-12):
+        cfg = AmbiguityConfig(uniform_distribution(4), eta)
+        form = closed_form(risks, cfg)
         dist, objective = oracle_worst_case(risks, cfg)
-        assert chi_square_divergence(dist, cfg.p0) <= cfg.eta + 1e-8
-        assert objective == pytest.approx(float(np.dot(dist.weights, risks.risks)), abs=1e-12)
+        assert abs(objective - form.objective) <= 1e-14
+        assert float(np.max(np.abs(dist.weights - form.gradient))) <= 1e-14
 
 
-def _pinned_oracle_cases():
-    # K from 2 to 12, a Dirichlet center on every third case, and radii
-    # alternating at 0.6 and 1.6 times the closed form's failure point
-    # variance / (mean - min risk)^2 (clamped below the Dirac bound)
-    rng = np.random.default_rng(2016)
-    cases = []
-    for index in range(40):
-        k = 2 + index % 11
-        if index % 3 == 2:
-            p0 = ProbabilityDistribution(rng.dirichlet(np.full(k, 4.0)))
-        else:
-            p0 = uniform_distribution(k)
-        risks = ClassRiskVector(rng.uniform(0.0, 5.0, size=k))
-        mean, variance = mean_variance_under(p0, risks)
-        critical = variance / (mean - float(np.min(risks.risks))) ** 2
-        eta = min((0.6 if index % 2 == 0 else 1.6) * critical, (k - 1) * 0.999)
-        cases.append((risks, AmbiguityConfig(p0, eta), eta > critical))
-    return cases
+def test_oracle_calls_neither_solver_it_checks(monkeypatch):
+    from codat import dro_core
 
+    def checked_solver(risks, cfg):
+        raise AssertionError("oracle_worst_case called a solver it checks")
 
-def test_oracle_output_bytes_are_pinned():
-    # weights and objective of every case, as little-endian float64; the
-    # digest was computed with whole-array numpy iterates
-    cases = _pinned_oracle_cases()
-    assert sum(beyond for _, _, beyond in cases) == 18
-    digest = hashlib.sha256()
-    for risks, cfg, _ in cases:
-        dist, objective = oracle_worst_case(risks, cfg)
-        digest.update(dist.weights.astype("<f8").tobytes())
-        digest.update(np.float64(objective).astype("<f8").tobytes())
-    assert digest.hexdigest() == (
-        "f822446120553ba32bf8d1d4277c2fb35cea3ab2e9a7af6e332ce5f646acd735"
-    )
-
-
-def test_float_divergence_sums_in_numpy_order_bit_for_bit():
-    # K from 2 to 300 spans numpy's three pairwise-sum branches: sequential
-    # below 8 terms, eight running sums up to 128, recursive halving above;
-    # offsets over 4 decades spread the terms over about 8
-    rng = np.random.default_rng(14)
-    for k in range(2, 301):
-        for _ in range(4):
-            p0 = rng.uniform(0.1, 1.0, size=k)
-            offsets = rng.choice([-1.0, 1.0], size=k) * 10.0 ** rng.uniform(-4.0, 0.0, size=k)
-            p, c = (p0 + offsets * p0).tolist(), p0.tolist()
-            terms = [(x - ci) * (x - ci) / ci for x, ci in zip(p, c)]
-            expected = float(np.add.reduce(terms))
-            assert np.float64(_chi2_float(p, c)).tobytes() == np.float64(expected).tobytes(), k
+    cases = _closed_form_failures(seed=41, count=50) + [reference_instance()]
+    monkeypatch.setattr(dro_core, "closed_form", checked_solver)
+    monkeypatch.setattr(dro_core, "exact_worst_case", checked_solver)
+    for risks, cfg in cases:
+        oracle_worst_case(risks, cfg)
 
 
 def test_fallback_reaches_the_best_response_on_a_near_tie():
@@ -593,88 +598,6 @@ def test_fallback_reaches_the_best_response_on_a_near_tie():
     # alpha = (B - tA) / 2 on the two-class support, not the closed form's 0.1626
     assert sol.multiplier == pytest.approx(0.0025 * math.sqrt(2.0 / 3.0), rel=1e-9)
     assert sol.closed_form.multiplier == pytest.approx(0.1626, abs=1e-4)
-
-
-# ---------------------------------------------------------- projection
-
-
-def _numpy_simplex_reference(arr):
-    # the whole-array sort and threshold, kept as the bit-level reference
-    u = np.sort(arr)[::-1]
-    cumulative = np.cumsum(u)
-    indices = np.arange(1, arr.size + 1)
-    rho = indices[u + (1.0 - cumulative) / indices > 0][-1]
-    theta = (cumulative[rho - 1] - 1.0) / rho
-    return np.maximum(arr - theta, 0.0)
-
-
-@settings(derandomize=True, deadline=None, max_examples=300)
-@given(
-    st.lists(
-        st.one_of(
-            st.sampled_from([0.0, -0.0, 1.0, 0.5, -0.5, 1.0 / 3.0, 2.0]),
-            st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False),
-        ),
-        min_size=2,
-        max_size=40,
-    )
-)
-def test_simplex_projection_equals_numpy_reference_bit_for_bit(values):
-    arr = np.array(values, dtype=np.float64)
-    expected = _numpy_simplex_reference(arr)
-    got = simplex_project(values).weights
-    assert np.array_equal(got, expected)
-    # signed zeros too
-    assert got.tobytes() == expected.tobytes()
-
-
-
-def test_simplex_projection_fixes_points_already_on_simplex():
-    np.testing.assert_allclose(
-        simplex_project([0.2, 0.3, 0.5]).weights, [0.2, 0.3, 0.5], atol=1e-15
-    )
-
-
-def test_simplex_projection_symmetric_pair():
-    np.testing.assert_allclose(simplex_project([1.0, 1.0]).weights, [0.5, 0.5], atol=1e-15)
-
-
-def test_simplex_projection_clips_negative_coordinate():
-    np.testing.assert_allclose(
-        simplex_project([0.8, 0.4, -0.2]).weights, [0.7, 0.3, 0.0], atol=1e-12
-    )
-
-
-def test_simplex_projection_idempotent_and_nearest():
-    rng = np.random.default_rng(29)
-    for _ in range(50):
-        k = int(rng.integers(2, 8))
-        v = rng.normal(0, 2, size=k)
-        projected = simplex_project(v).weights
-        np.testing.assert_allclose(simplex_project(projected).weights, projected, atol=1e-12)
-        # no sampled simplex point may sit closer to v than the projection
-        best = float(np.linalg.norm(projected - v))
-        for _ in range(200):
-            q = rng.dirichlet(np.ones(k))
-            assert best <= float(np.linalg.norm(q - v)) + 1e-9
-
-
-def test_simplex_projection_rejects_nonfinite():
-    with pytest.raises(ValueError):
-        simplex_project([np.nan, 0.5])
-
-
-def test_simplex_projection_names_the_magnitude_it_cannot_resolve():
-    # 2**53 still projects onto the first vertex; from 2**53 + 2 the sort and
-    # threshold rounding loses unit mass, and the error names the magnitude
-    np.testing.assert_array_equal(simplex_project([2.0**53, 0.0]).weights, [1.0, 0.0])
-    np.testing.assert_array_equal(simplex_project([-1e17, -1e17, 0.5]).weights, [0.0, 0.0, 1.0])
-    with pytest.raises(ValueError, match=r"largest magnitude 9007199254740994\.0 is too large"):
-        simplex_project([2.0**53 + 2, 0.0])
-    with pytest.raises(ValueError, match=r"largest magnitude 1e\+17 is too large"):
-        simplex_project([1e17, 0.0])
-    with pytest.raises(ValueError, match=r"largest magnitude 1e\+17 is too large"):
-        simplex_project([-1e17, -1e17])
 
 
 # ------------------------------------------------- mixed random sweeps

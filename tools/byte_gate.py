@@ -22,7 +22,8 @@ scratch directory with single-threaded BLAS, on small toy3 runs:
   natural and the PGD report of the `evaluate` runs;
 - three `oracle` runs: a default, a tiny radius, and `oracle_readme`, the
   README's own command (`--trials 200 --classes 10 --eta 2.0 --seed 7`),
-  whose radii reach past the closed form's failure point;
+  whose radii reach past the closed form's failure point, so that its
+  failing trials are solved and checked against `exact_worst_case`;
 - `--print-config` for train, evaluate, attack and sweep.
 
 Fields outside the determinism contract are blanked before hashing:
