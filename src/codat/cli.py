@@ -23,10 +23,9 @@ from .dro_core import (
     AmbiguityConfig,
     ClassRiskVector,
     ProbabilityDistribution,
-    closed_form,
-    exact_worst_case,
     oracle_worst_case,
     uniform_distribution,
+    worst_case_distribution,
 )
 from .metrics import (
     EvalReport,
@@ -197,7 +196,6 @@ def resolve_config(args: argparse.Namespace) -> dict:
         flag_value = getattr(args, key, None)
         if flag_value is not None:
             resolved[key] = _parse_value(key, flag_value)
-    resolved["preset"] = preset
     return resolved
 
 
@@ -489,17 +487,14 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         eta = min(eta, (num_classes - 1) * 0.999)
         risks = ClassRiskVector(rng.uniform(0.0, 5.0, size=num_classes))
         cfg = AmbiguityConfig(uniform_distribution(num_classes), eta)
-        form = closed_form(risks, cfg)
-        if form.valid:
-            weights, objective = form.gradient, form.objective
-        else:
-            invalid += 1
-            exact, objective, _ = exact_worst_case(risks, cfg)
-            weights = exact.weights
+        solution = worst_case_distribution(risks, cfg)
+        valid = solution.closed_form.valid
+        invalid += not valid
         distribution, oracle_objective = oracle_worst_case(risks, cfg)
-        gaps = closed_gaps if form.valid else exact_gaps
-        gaps[0] = max(gaps[0], abs(oracle_objective - objective))
-        gaps[1] = max(gaps[1], float(np.max(np.abs(distribution.weights - weights))))
+        gaps = closed_gaps if valid else exact_gaps
+        gaps[0] = max(gaps[0], abs(oracle_objective - solution.objective_value))
+        weight_gap = np.abs(distribution.weights - solution.distribution.weights)
+        gaps[1] = max(gaps[1], float(np.max(weight_gap)))
     payload = {
         "trials": args.trials,
         "classes_max": args.classes,

@@ -1,11 +1,10 @@
 """Accuracy evaluation and the fairness elasticity coefficient.
 
-Evaluation produces per-class and aggregate accuracies (natural or under
-attack), the population variance of per-class accuracies, and a confusion
-matrix.  The fairness elasticity coefficient compares a method against a
-baseline: exp of the worst-class improvement rate minus the average
-accuracy decline rate.  Values above 1 mean fairness gains outpaced the
-average-accuracy cost.
+Evaluation counts a confusion matrix, natural or under attack; the per-class
+and average accuracies and the per-class variance derive from it.  The
+fairness elasticity coefficient compares a method against a baseline: exp of
+the worst-class improvement rate minus the average accuracy decline rate.
+Values above 1 mean fairness gains outpaced the average-accuracy cost.
 """
 
 from __future__ import annotations
@@ -27,20 +26,41 @@ REPORT_FORMAT = "codat-eval-report"
 REPORT_VERSION = 1
 
 _EVAL_BATCH = 512
+# the four accuracies lead: they are derived from the confusion matrix
+_REPORT_KEYS = ("per_class_accuracy", "average_accuracy", "worst_class_accuracy",
+                "class_variance", "confusion", "attack", "seed")
 
 
 @dataclass(frozen=True)
 class EvalReport:
-    """Evaluation summary; accuracies are fractions in [0, 1]."""
+    """A confusion matrix and the attack it was measured under.
 
-    per_class_accuracy: np.ndarray
-    average_accuracy: float
-    worst_class_accuracy: float
-    class_variance: float
+    Row i counts the class-(i+1) examples by predicted class.  The accuracies,
+    fractions in [0, 1], derive from it: per class the diagonal over the row
+    sums, on average the trace over the total, at worst their minimum, and
+    `class_variance` of the per-class row.
+    """
+
     confusion: np.ndarray
     attack: str
     seed: int
     attack_config: dict | None = field(default=None)
+
+    @property
+    def per_class_accuracy(self) -> np.ndarray:
+        return self.confusion.diagonal() / self.confusion.sum(axis=1)
+
+    @property
+    def average_accuracy(self) -> float:
+        return float(self.confusion.trace() / self.confusion.sum())
+
+    @property
+    def worst_class_accuracy(self) -> float:
+        return float(np.min(self.per_class_accuracy))
+
+    @property
+    def class_variance(self) -> float:
+        return class_variance(self.per_class_accuracy)
 
     def to_dict(self) -> dict:
         return {
@@ -58,11 +78,7 @@ class EvalReport:
 
     @staticmethod
     def from_dict(payload: dict) -> "EvalReport":
-        keys = (
-            "per_class_accuracy", "average_accuracy", "worst_class_accuracy",
-            "class_variance", "confusion", "attack", "seed",
-        )
-        check_artifact(payload, "evaluation report", REPORT_FORMAT, REPORT_VERSION, keys)
+        check_artifact(payload, "evaluation report", REPORT_FORMAT, REPORT_VERSION, _REPORT_KEYS)
 
         def read(key, convert, holds=lambda value: True):
             # a field must convert, and the converted value must hold its check
@@ -70,36 +86,25 @@ class EvalReport:
                 value = convert(payload[key])
                 if holds(value):
                     return value
-            except (TypeError, ValueError):
+            except (TypeError, ValueError, OverflowError):
                 pass
             raise ValueError(
                 f"evaluation report field {key} is malformed: {json.dumps(payload[key])}"
             )
 
-        def fraction(value):
-            # written so that NaN, which fails every comparison, fails the check
-            return bool(np.all((value >= 0.0) & (value <= 1.0)))
-
-        # the confusion matrix fixes the class count K >= 2
+        # integer counts for K >= 2 classes, each with at least one example
         confusion = read(
             "confusion",
             lambda v: np.asarray(v, dtype=np.int64),
-            lambda c: c.ndim == 2 and c.shape[0] == c.shape[1] >= 2 and np.min(c) >= 0,
+            lambda c: c.ndim == 2 and c.shape[0] == c.shape[1] >= 2 and np.min(c) >= 0
+            and np.min(c.sum(axis=1)) > 0 and c.tolist() == payload["confusion"],
         )
-        return EvalReport(
-            per_class_accuracy=read(
-                "per_class_accuracy",
-                lambda v: np.asarray(v, dtype=np.float64),
-                lambda a: a.shape == confusion.shape[:1] and fraction(a),
-            ),
-            average_accuracy=read("average_accuracy", float, fraction),
-            worst_class_accuracy=read("worst_class_accuracy", float, fraction),
-            class_variance=read("class_variance", float, lambda v: 0.0 <= v < math.inf),
-            confusion=confusion,
-            attack=str(payload["attack"]),
-            seed=read("seed", int),
-            attack_config=payload.get("attack_config"),
-        )
+        # each stored accuracy must be the one its matrix gives
+        derived = EvalReport(confusion, "", 0).to_dict()
+        for key in _REPORT_KEYS[:4]:
+            read(key, lambda v: v, lambda v: v == derived[key])
+        seed = read("seed", int)
+        return EvalReport(confusion, str(payload["attack"]), seed, payload.get("attack_config"))
 
     @staticmethod
     def load(path) -> "EvalReport":
@@ -154,8 +159,7 @@ def evaluate(
     from `attacked_batches`.  Every class must appear in the data.
     """
     num_classes = data.num_classes
-    counts = data.class_counts
-    missing = np.nonzero(counts == 0)[0]
+    missing = np.nonzero(data.class_counts == 0)[0]
     if missing.size:
         raise ValueError(f"class {missing[0] + 1} has no examples in the evaluation data")
     cells = []
@@ -170,18 +174,8 @@ def evaluate(
     confusion = np.bincount(np.concatenate(cells), minlength=num_classes * num_classes).reshape(
         num_classes, num_classes
     )
-    per_class = confusion.diagonal() / counts
-    average = float(confusion.trace() / data.size)
-    return EvalReport(
-        per_class_accuracy=per_class,
-        average_accuracy=average,
-        worst_class_accuracy=float(np.min(per_class)),
-        class_variance=class_variance(per_class),
-        confusion=confusion,
-        attack=attack_tag(attack),
-        seed=seed,
-        attack_config=None if attack is None else attack.as_dict(),
-    )
+    attack_config = None if attack is None else attack.as_dict()
+    return EvalReport(confusion, attack_tag(attack), seed, attack_config)
 
 
 @dataclass(frozen=True)

@@ -238,17 +238,15 @@ def sgd_step(
     """In-place SGD update: buffer <- m*buffer + grad + wd*param; param <- param - lr*buffer."""
     if len(grads) != len(model.layers):
         raise ValueError(f"got {len(grads)} gradient pairs for {len(model.layers)} layers")
-    for idx, ((weight, bias), (gw, gb), (bw, bb)) in enumerate(
+    for idx, ((weight, bias), (gw, gb), buffers) in enumerate(
         zip(model.layers, grads, state.buffers)
     ):
         if gw.shape != weight.shape or gb.shape != bias.shape:
             raise ValueError(f"layer {idx}: gradient shapes do not match parameters")
-        bw *= state.momentum
-        bw += gw + state.weight_decay * weight
-        bb *= state.momentum
-        bb += gb + state.weight_decay * bias
-        weight -= state.learning_rate * bw
-        bias -= state.learning_rate * bb
+        for param, grad, buffer in zip((weight, bias), (gw, gb), buffers):
+            buffer *= state.momentum
+            buffer += grad + state.weight_decay * param
+            param -= state.learning_rate * buffer
     return model, state
 
 

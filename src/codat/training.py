@@ -34,6 +34,7 @@ from .nn_engine import (
     LabeledBatch,
     ModelParams,
     backward,
+    check_artifact,
     cross_entropy_per_example,
     forward,
     init_model,
@@ -138,17 +139,21 @@ class TrainHistory:
         header = None
         records = []
         with open(path, "r", encoding="utf-8") as fh:
-            for line in fh:
+            for lineno, line in enumerate(fh, start=1):
                 payload = json.loads(line)
-                kind = payload.pop("type")
+                kind = payload.pop("type", None) if isinstance(payload, dict) else None
                 if kind == "header":
                     header = payload
                 elif kind == "epoch":
-                    records.append(EpochRecord(**payload))
+                    try:
+                        records.append(EpochRecord(**payload))
+                    except TypeError as exc:  # an unknown or a missing key
+                        raise ValueError(f"{path}:{lineno}: bad epoch record: {exc}") from None
                 else:
-                    raise ValueError(f"unknown history line type {kind!r}")
-        if header is None or header.get("format") != HISTORY_FORMAT:
-            raise ValueError("missing or foreign history header")
+                    raise ValueError(f"{path}:{lineno}: unknown history line type {kind!r}")
+        if header is None:
+            raise ValueError(f"{path}: missing history header")
+        check_artifact(header, "training history", HISTORY_FORMAT, HISTORY_VERSION, ())
         return TrainHistory(header, records)
 
 

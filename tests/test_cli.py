@@ -438,20 +438,28 @@ class TestFecCommand:
             ("confusion", [[4]], "[[4]]"),
             ("confusion", [[1, 1, 0], [0, 2, 0]], "[[1, 1, 0], [0, 2, 0]]"),
             ("confusion", [[1, -1], [0, 2]], "[[1, -1], [0, 2]]"),
+            ("average_accuracy", 0.5, "0.5"),
+            ("per_class_accuracy", [1.0, 0.5], "[1.0, 0.5]"),
+            ("worst_class_accuracy", 1.0, "1.0"),
+            ("class_variance", 0.0, "0.0"),
+            ("confusion", [[0, 0], [0, 2]], "[[0, 0], [0, 2]]"),
+            ("confusion", [[1.5, 1], [0, 2]], "[[1.5, 1], [0, 2]]"),
+            ("confusion", [[10**30, 1], [0, 2]], f"[[{10**30}, 1], [0, 2]]"),
         ],
         ids=[
             "null_accuracy", "list_seed", "null_per_class", "per_class_above_one",
             "per_class_too_many", "percent_average", "nan_average", "negative_worst",
             "negative_variance", "infinite_variance", "one_class", "confusion_not_square",
-            "negative_cell",
+            "negative_cell", "contradicted_average", "swapped_per_class",
+            "contradicted_worst", "contradicted_variance", "empty_class_row",
+            "fractional_cell", "overflowing_cell",
         ],
     )
     def test_report_with_malformed_field_is_clean_error(
         self, tmp_path, capsys, key, value, shown
     ):
-        report = EvalReport(
-            np.array([0.5, 1.0]), 0.75, 0.5, 0.0625, np.array([[1, 1], [0, 2]]), "none", 0
-        ).to_dict()
+        # accuracies [0.5, 1.0], 0.75, 0.5 and variance 0.0625
+        report = EvalReport(np.array([[1, 1], [0, 2]]), "none", 0).to_dict()
         report[key] = value
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(report), encoding="utf-8")

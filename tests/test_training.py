@@ -1,5 +1,7 @@
 """Tests for the training loop, its four step functions and their shared batch reductions."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -382,6 +384,37 @@ class TestTrainingLoop:
         loaded = TrainHistory.load_jsonl(path)
         assert loaded.header == history.header
         assert loaded.records == history.records
+
+    @staticmethod
+    def rewritten_history(tmp_path, lineno, edit):
+        # a one-epoch history with line `lineno` (1-based) passed through `edit`
+        _, history = train(make_config("codat", eta=0.5, epochs=1, batch_size=40), small_dataset())
+        path = tmp_path / "history.jsonl"
+        history.save_jsonl(path)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        lines[lineno - 1] = json.dumps(edit(json.loads(lines[lineno - 1])))
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        return path
+
+    def test_history_of_another_version_is_rejected(self, tmp_path):
+        path = self.rewritten_history(tmp_path, 1, lambda header: {**header, "version": 2})
+        with pytest.raises(ValueError, match="unsupported training history version 2"):
+            TrainHistory.load_jsonl(path)
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda record: {**record, "extra": 1}, "bad epoch record: .*'extra'"),
+            (lambda record: {k: v for k, v in record.items() if k != "loss"},
+             "bad epoch record: .*'loss'"),
+            (lambda record: [record], "unknown history line type None"),
+        ],
+        ids=["unknown_key", "missing_key", "not_an_object"],
+    )
+    def test_malformed_epoch_line_names_its_line(self, tmp_path, edit, message):
+        path = self.rewritten_history(tmp_path, 2, edit)
+        with pytest.raises(ValueError, match=r"history\.jsonl:2: " + message):
+            TrainHistory.load_jsonl(path)
 
     def test_final_epoch_attention_tracks_risk(self):
         data = small_dataset(per_class=100, seed=2)
