@@ -36,6 +36,8 @@ class AttackConfig:
     def __post_init__(self):
         if not math.isfinite(self.epsilon) or not 0.0 <= self.epsilon < 1.0:
             raise ValueError(f"epsilon must lie in [0, 1), got {self.epsilon}")
+        if not math.isfinite(self.step_size):
+            raise ValueError(f"step size must be finite, got {self.step_size}")
         if self.steps < 1:
             raise ValueError(f"need at least one step, got {self.steps}")
         if self.epsilon > 0.0:

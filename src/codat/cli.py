@@ -13,6 +13,7 @@ import csv
 import os
 import sys
 import time
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -282,23 +283,11 @@ def _attack(resolved: dict, prefix: str) -> AttackConfig:
 
 
 def build_train_config(resolved: dict) -> TrainConfig:
-    fixed = resolved.get("fixed_weights")
-    weights = None if fixed is None else ProbabilityDistribution(np.asarray(fixed, dtype=np.float64))
-    return TrainConfig(
-        method=resolved["method"],
-        epochs=resolved["epochs"],
-        batch_size=resolved["batch_size"],
-        base_lr=resolved["base_lr"],
-        momentum=resolved["momentum"],
-        weight_decay=resolved["weight_decay"],
-        lr_milestones=tuple(resolved["lr_milestones"]),
-        lr_factor=resolved["lr_factor"],
-        attack=_attack(resolved, ""),
-        eta=resolved["eta"],
-        fixed_weights=weights,
-        seed=resolved["seed"],
-        hidden_dims=tuple(resolved["hidden_dims"]),
-    )
+    values = {f.name: resolved[f.name] for f in fields(TrainConfig) if f.name != "attack"}
+    fixed = values["fixed_weights"]
+    if fixed is not None:
+        values["fixed_weights"] = ProbabilityDistribution(np.asarray(fixed, dtype=np.float64))
+    return TrainConfig(attack=_attack(resolved, ""), **values)
 
 
 def _write_with_config(payload: dict, resolved: dict, path: Path) -> None:
@@ -340,6 +329,7 @@ def _train_run(resolved: dict, train_data: Dataset, test_data: Dataset):
     artifact is written and reloaded before this returns.
     """
     config = build_train_config(resolved)
+    eval_attack = _attack(resolved, "eval_")
     # given eval data, train returns its best epoch on it: select_best picks on the test split
     model, history = train(config, train_data, test_data if resolved["select_best"] else None)
     out_dir = run_directory(resolved)
@@ -349,7 +339,7 @@ def _train_run(resolved: dict, train_data: Dataset, test_data: Dataset):
     save_checkpoint(model, checkpoint_path, seed=config.seed, config_hash=config_fingerprint(config))
     history.save_jsonl(out_dir / "history.jsonl")
     natural = evaluate(model, test_data, attack=None, seed=config.seed)
-    adversarial = evaluate(model, test_data, attack=_attack(resolved, "eval_"), seed=config.seed)
+    adversarial = evaluate(model, test_data, attack=eval_attack, seed=config.seed)
     _write_eval(natural, resolved, out_dir, "natural")
     _write_eval(adversarial, resolved, out_dir, "adversarial")
     load_checkpoint(checkpoint_path)
@@ -473,8 +463,8 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         raise CliError(f"trials must be positive, got {args.trials}")
     if args.classes < 2:
         raise CliError(f"classes must be at least 2, got {args.classes}")
-    if args.eta <= 0.0:
-        raise CliError(f"eta must be positive, got {args.eta}")
+    if not 0.0 < args.eta < np.inf:
+        raise CliError(f"eta must be positive and finite, got {args.eta}")
     rng = np.random.default_rng(args.seed)
     eta_low = min(0.05, args.eta)
     # objective and distribution gaps of the oracle against the closed form

@@ -103,7 +103,7 @@ class EvalReport:
         derived = EvalReport(confusion, "", 0).to_dict()
         for key in _REPORT_KEYS[:4]:
             read(key, lambda v: v, lambda v: v == derived[key])
-        seed = read("seed", int)
+        seed = read("seed", lambda v: v, lambda v: type(v) is int)
         return EvalReport(confusion, str(payload["attack"]), seed, payload.get("attack_config"))
 
     @staticmethod

@@ -107,12 +107,12 @@ class OptimizerState:
     weight_decay: float
 
     def __post_init__(self):
-        if self.learning_rate <= 0.0:
-            raise ValueError(f"learning rate must be positive, got {self.learning_rate}")
+        if not 0.0 < self.learning_rate < np.inf:
+            raise ValueError(f"learning rate must be positive and finite, got {self.learning_rate}")
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError(f"momentum must lie in [0, 1), got {self.momentum}")
-        if self.weight_decay < 0.0:
-            raise ValueError(f"weight decay must be nonnegative, got {self.weight_decay}")
+        if not 0.0 <= self.weight_decay < np.inf:
+            raise ValueError(f"weight decay must be nonnegative and finite, got {self.weight_decay}")
 
 
 def init_model(layer_dims: list[int], seed: int) -> ModelParams:
@@ -305,12 +305,15 @@ def load_checkpoint(path) -> tuple[ModelParams, int, str]:
     check_artifact(payload, "model checkpoint", CHECKPOINT_FORMAT, CHECKPOINT_VERSION, keys)
     if payload.get("dtype", "float64") != "float64":
         raise ValueError(f"unsupported checkpoint dtype {payload['dtype']!r}; expected 'float64'")
-    for key in ("layer_dims", "weights", "biases"):
-        if not isinstance(payload[key], list):
+    nouns = {list: "a list", int: "an integer", str: "a string"}
+    for key, kind in zip(keys, (list, list, list, int, str)):
+        if type(payload[key]) is not kind:  # exact: a bool is no integer
             raise ValueError(
-                f"model checkpoint {key} must be a list, got {type(payload[key]).__name__}"
+                f"model checkpoint {key} must be {nouns[kind]}, got {type(payload[key]).__name__}"
             )
     dims, weights, biases = payload["layer_dims"], payload["weights"], payload["biases"]
+    if not all(type(dim) is int and dim > 0 for dim in dims):
+        raise ValueError(f"model checkpoint layer_dims must be positive integers, got {dims}")
     layers = []
     for i in range(max(len(dims) - 1, len(weights), len(biases))):
         if i >= len(dims) - 1:
@@ -325,4 +328,4 @@ def load_checkpoint(path) -> tuple[ModelParams, int, str]:
                 f"and {fan_out} biases"
             ) from None
         layers.append((weight, bias))
-    return ModelParams(layers), int(payload["seed"]), str(payload["config_hash"])
+    return ModelParams(layers), payload["seed"], payload["config_hash"]

@@ -13,10 +13,12 @@ worst-class training follows the subgradient of the max class risk.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
+import operator
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -78,18 +80,18 @@ class TrainConfig:
             raise ValueError(f"unknown method {self.method!r}; expected one of {VALID_METHODS}")
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch_size must be at least 1")
-        if self.base_lr <= 0.0:
-            raise ValueError(f"base learning rate must be positive, got {self.base_lr}")
+        if not 0.0 < self.base_lr < np.inf:
+            raise ValueError(f"base learning rate must be positive and finite, got {self.base_lr}")
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError(f"momentum must lie in [0, 1), got {self.momentum}")
-        if self.weight_decay < 0.0:
-            raise ValueError(f"weight decay must be nonnegative, got {self.weight_decay}")
+        if not 0.0 <= self.weight_decay < np.inf:
+            raise ValueError(f"weight decay must be nonnegative and finite, got {self.weight_decay}")
         if list(self.lr_milestones) != sorted(self.lr_milestones):
             raise ValueError(f"lr milestones must be sorted, got {self.lr_milestones}")
-        if self.lr_factor <= 0.0:
-            raise ValueError(f"lr factor must be positive, got {self.lr_factor}")
-        if self.method == "codat" and self.eta < 0.0:
-            raise ValueError(f"eta must be nonnegative, got {self.eta}")
+        if not 0.0 < self.lr_factor < np.inf:
+            raise ValueError(f"lr factor must be positive and finite, got {self.lr_factor}")
+        if self.method == "codat" and not 0.0 <= self.eta < np.inf:
+            raise ValueError(f"eta must be nonnegative and finite, got {self.eta}")
         if (self.fixed_weights is not None) != (self.method == "weighted"):
             raise ValueError("fixed_weights must be given exactly for the weighted method")
         if any(h < 1 for h in self.hidden_dims):
@@ -184,6 +186,12 @@ def class_avg_loss(
     return ClassRiskVector(risks), counts, sums
 
 
+def _in_order_sum(values):
+    # adds in batch order from zero, as a running total does: numpy pair-sums,
+    # and Python 3.12's `sum` compensates float rounding, both moving last bits
+    return functools.reduce(operator.add, values, 0)
+
+
 def _spread_over_examples(
     class_row: np.ndarray, labels: np.ndarray, counts: np.ndarray
 ) -> np.ndarray:
@@ -263,22 +271,14 @@ def _canonical_method(config: TrainConfig) -> str:
 
 
 def _config_payload(config: TrainConfig) -> dict:
+    # every field by name (the attack as its `as_dict` record), in JSON types
+    weights = config.fixed_weights
     return {
-        "method": config.method,
-        "epochs": config.epochs,
-        "batch_size": config.batch_size,
-        "base_lr": config.base_lr,
-        "momentum": config.momentum,
-        "weight_decay": config.weight_decay,
-        "lr_milestones": list(config.lr_milestones),
-        "lr_factor": config.lr_factor,
+        **asdict(config),
         "eta": config.eta if config.method == "codat" else None,
-        "fixed_weights": None
-        if config.fixed_weights is None
-        else config.fixed_weights.weights.tolist(),
+        "fixed_weights": None if weights is None else weights.weights.tolist(),
+        "lr_milestones": list(config.lr_milestones),
         "hidden_dims": list(config.hidden_dims),
-        "seed": config.seed,
-        "attack": config.attack.as_dict(),
     }
 
 
@@ -341,24 +341,14 @@ def train(config: TrainConfig, train_data: Dataset, eval_data: Dataset | None = 
         state.learning_rate = lr_at_epoch(
             config.base_lr, epoch, list(config.lr_milestones), config.lr_factor
         )
-        loss_sum = 0.0
-        natural_sum = 0.0
-        risk_sums = np.zeros(num_classes)
-        risk_counts = np.zeros(num_classes, dtype=np.int64)
-        weight_rows = np.zeros(num_classes)
-        agreement_hits = 0
-        objective_gap = 0.0
-        gap_batches = 0
-        valid_batches = 0
-        codat_batches = 0
-        batches = 0
+        rows = []
         for idx, batch in enumerate(
             batch_iter(train_data, config.batch_size, config.seed, epoch=epoch)
         ):
             adv_features = pgd_attack(model, batch, config.attack, seed=(config.seed, epoch, idx))
             adv_batch = LabeledBatch(adv_features, batch.labels)
             adv_losses = cross_entropy_per_example(forward(model, adv_batch), batch.labels)
-            natural_losses = cross_entropy_per_example(forward(model, batch), batch.labels)
+            natural = float(np.mean(cross_entropy_per_example(forward(model, batch), batch.labels)))
             risks, counts, sums = class_avg_loss(adv_losses, batch.labels, num_classes)
             loss, example_weights, class_row, valid = step_fn(
                 config, adv_losses, batch.labels, risks, counts
@@ -369,45 +359,31 @@ def train(config: TrainConfig, train_data: Dataset, eval_data: Dataset | None = 
                 )
             grads, _ = backward(model, adv_batch, example_weights)
             sgd_step(model, grads, state)
-
-            batches += 1
-            loss_sum += loss
-            natural_sum += float(np.mean(natural_losses))
-            risk_sums += sums
-            risk_counts += counts
-            weight_rows += class_row
-            if _riskiest_class(risks, counts) == int(np.argmax(class_row)):
-                agreement_hits += 1
-            if valid is not None:
-                codat_batches += 1
-                valid_batches += int(valid)
-            if valid is not False:
-                objective_gap = max(
-                    objective_gap, abs(float(np.dot(class_row, risks.risks)) - loss)
-                )
-                gap_batches += 1
-        per_class_risk = np.where(risk_counts > 0, risk_sums / np.maximum(risk_counts, 1), 0.0)
-        history.records.append(
-            EpochRecord(
-                epoch=epoch,
-                loss=loss_sum / batches,
-                natural_loss=natural_sum / batches,
-                class_risks=per_class_risk.tolist(),
-                class_weights=(weight_rows / batches).tolist(),
-                learning_rate=state.learning_rate,
-                wall_time=time.perf_counter() - started,
-                params_digest=params_digest(model),
-                weight_risk_agreement=agreement_hits / batches,
-                weight_objective_gap=objective_gap if gap_batches else None,
-                closed_form_fraction=(valid_batches / codat_batches) if codat_batches else None,
-            )
+            hit = _riskiest_class(risks, counts) == int(np.argmax(class_row))
+            gap = None if valid is False else abs(float(np.dot(class_row, risks.risks)) - loss)
+            rows.append((loss, natural, sums, counts, class_row, hit, valid, gap))
+        losses, naturals, sums, counts, class_rows, hits, valids, gaps = zip(*rows)
+        risk_sums, risk_counts = _in_order_sum(sums), _in_order_sum(counts)
+        valids = [valid for valid in valids if valid is not None]
+        record = EpochRecord(
+            epoch=epoch,
+            loss=_in_order_sum(losses) / len(rows),
+            natural_loss=_in_order_sum(naturals) / len(rows),
+            # an absent class sums to 0.0 and so reads risk 0.0
+            class_risks=(risk_sums / np.maximum(risk_counts, 1)).tolist(),
+            class_weights=(_in_order_sum(class_rows) / len(rows)).tolist(),
+            learning_rate=state.learning_rate,
+            wall_time=time.perf_counter() - started,
+            params_digest=params_digest(model),
+            weight_risk_agreement=sum(hits) / len(rows),
+            weight_objective_gap=max((gap for gap in gaps if gap is not None), default=None),
+            closed_form_fraction=sum(valids) / len(valids) if valids else None,
         )
+        history.records.append(record)
         if eval_data is not None:
             snapshot = ModelParams([(w.copy(), b.copy()) for w, b in model.layers])
             report = evaluate(snapshot, eval_data, attack=config.attack, seed=config.seed)
             if report.worst_class_accuracy > best_worst:
                 best_worst = report.worst_class_accuracy
                 best_snapshot = snapshot
-    if best_snapshot is not None:
-        return best_snapshot, history
-    return model, history
+    return (model if best_snapshot is None else best_snapshot), history

@@ -42,6 +42,15 @@ def test_config_rejects_zero_steps():
         AttackConfig(epsilon=0.03, step_size=0.01, steps=0)
 
 
+@pytest.mark.parametrize(
+    "epsilon, step_size", [(0.0, float("nan")), (0.0, float("inf")), (0.03, float("nan"))]
+)
+def test_config_rejects_non_finite_step_size(epsilon, step_size):
+    # a zero radius never reads the step size, but the size is still recorded
+    with pytest.raises(ValueError, match="step size must be finite"):
+        AttackConfig(epsilon=epsilon, step_size=step_size, steps=1)
+
+
 def test_config_allows_zero_radius():
     assert AttackConfig(epsilon=0.0, step_size=0.0, steps=1).epsilon == 0.0
 

@@ -4,16 +4,19 @@ import csv
 import json
 import re
 import shutil
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from codat.attacks import AttackConfig
 from codat.cli import (
     DEFAULTS,
     OUT_ROOT_ENV,
     PRESETS,
     build_parser,
+    build_train_config,
     format_config,
     main,
     parse_config_file,
@@ -22,6 +25,7 @@ from codat.cli import (
 )
 from codat.data import gen_gaussian_mixture, save_csv, toy3_spec
 from codat.metrics import EvalReport
+from codat.training import TrainConfig
 
 TINY = [
     "--epochs", "6",
@@ -172,6 +176,57 @@ class TestTrainCommand:
     def test_failed_run_leaves_no_run_directory(self, tmp_path):
         assert run_train(tmp_path, "--method", "codat", "--eta", "9.5") == 2
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "command", [["train"], ["sweep", "--etas", "0.1,0.3"]], ids=["train", "sweep"]
+    )
+    def test_bad_evaluation_attack_rejected_before_training(
+        self, tmp_path, monkeypatch, capsys, command
+    ):
+        def no_training(*args, **kwargs):
+            raise AssertionError("training ran before the evaluation attack was checked")
+
+        monkeypatch.setattr("codat.cli.train", no_training)
+        argv = command + ["--preset", "toy3", "--epochs", "3", "--out-root", str(tmp_path),
+                          "--eval-attack-step-size", "1"]
+        assert main(argv) == 2
+        assert "diameter" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--lr", "nan"], ["--lr", "inf"], ["--weight-decay", "nan"], ["--lr-factor", "nan"],
+         ["--eta", "nan"], ["--attack-step-size", "nan"], ["--eval-attack-step-size", "nan"]],
+        ids=["nan_lr", "inf_lr", "nan_decay", "nan_factor", "nan_eta", "nan_step",
+             "nan_eval_step"],
+    )
+    def test_non_finite_setting_rejected_before_any_attack(
+        self, tmp_path, monkeypatch, capsys, flags
+    ):
+        def no_attack(*args, **kwargs):
+            raise AssertionError("attack ran before the settings were checked")
+
+        monkeypatch.setattr("codat.training.pgd_attack", no_attack)
+        assert run_train(tmp_path, "--method", "codat", *flags) == 2
+        assert "finite" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_every_train_config_field_comes_from_its_key(self):
+        values = {
+            "method": "weighted", "epochs": 7, "batch_size": 33, "base_lr": 0.07, "seed": 9,
+            "momentum": 0.5, "weight_decay": 1e-3, "lr_milestones": (2, 5), "lr_factor": 0.3,
+            "eta": 0.7, "fixed_weights": (0.2, 0.3, 0.5), "hidden_dims": (5, 6),
+        }
+        assert set(values) == {f.name for f in fields(TrainConfig)} - {"attack"}
+        config = build_train_config({**DEFAULTS, **values})
+        for name, value in values.items():
+            default = next(f.default for f in fields(TrainConfig) if f.name == name)
+            assert value not in (DEFAULTS[name], default), name
+            got = getattr(config, name)
+            assert (tuple(got.weights) if name == "fixed_weights" else got) == value, name
+        assert config.attack == AttackConfig(
+            DEFAULTS["epsilon"], DEFAULTS["attack_step_size"], DEFAULTS["attack_steps"]
+        )
 
     def test_zero_radius_checkpoint_matches_standard(self, tmp_path):
         assert run_train(tmp_path, "--method", "codat", "--eta", "0") == 0
@@ -445,6 +500,9 @@ class TestFecCommand:
             ("confusion", [[0, 0], [0, 2]], "[[0, 0], [0, 2]]"),
             ("confusion", [[1.5, 1], [0, 2]], "[[1.5, 1], [0, 2]]"),
             ("confusion", [[10**30, 1], [0, 2]], f"[[{10**30}, 1], [0, 2]]"),
+            ("seed", 1.5, "1.5"),
+            ("seed", True, "true"),
+            ("seed", "7", '"7"'),
         ],
         ids=[
             "null_accuracy", "list_seed", "null_per_class", "per_class_above_one",
@@ -452,7 +510,8 @@ class TestFecCommand:
             "negative_variance", "infinite_variance", "one_class", "confusion_not_square",
             "negative_cell", "contradicted_average", "swapped_per_class",
             "contradicted_worst", "contradicted_variance", "empty_class_row",
-            "fractional_cell", "overflowing_cell",
+            "fractional_cell", "overflowing_cell", "fractional_seed", "bool_seed",
+            "string_seed",
         ],
     )
     def test_report_with_malformed_field_is_clean_error(
@@ -506,6 +565,11 @@ class TestOracleCommand:
             "max_exact_distribution_gap",
         ):
             assert payload[key] <= 1e-9, key
+
+    @pytest.mark.parametrize("eta", ["nan", "inf"])
+    def test_non_finite_radius_rejected(self, capsys, eta):
+        assert main(["oracle", "--trials", "3", "--eta", eta]) == 2
+        assert capsys.readouterr().err == f"error: eta must be positive and finite, got {eta}\n"
 
     def test_zero_trials_rejected(self, capsys):
         assert main(["oracle", "--trials", "0"]) == 2

@@ -76,6 +76,10 @@ def test_optimizer_state_validates_hyperparameters():
         init_optimizer(model, learning_rate=0.1, momentum=1.0)
     with pytest.raises(ValueError):
         init_optimizer(model, learning_rate=0.1, weight_decay=-1e-4)
+    for setting in ({"learning_rate": np.nan}, {"learning_rate": np.inf},
+                    {"weight_decay": np.nan}, {"weight_decay": np.inf}):
+        with pytest.raises(ValueError, match="finite"):
+            init_optimizer(model, **{"learning_rate": 0.1, **setting})
 
 
 # -------------------------------------------------------------- forward
@@ -438,6 +442,29 @@ def test_checkpoint_rejects_foreign_files(tmp_path):
     path = tmp_path / "other.json"
     path.write_text('{"format": "something-else"}')
     with pytest.raises(ValueError, match="format"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("seed", 2.7, "seed must be an integer, got float"),
+        ("seed", True, "seed must be an integer, got bool"),
+        ("seed", "7", "seed must be an integer, got str"),
+        ("config_hash", 5, "config_hash must be a string, got int"),
+        ("layer_dims", [2, -1, 3], r"layer_dims must be positive integers, got \[2, -1, 3\]"),
+        ("layer_dims", [2, 4.0, 3], r"layer_dims must be positive integers, got \[2, 4.0, 3\]"),
+    ],
+    ids=["fractional_seed", "bool_seed", "string_seed", "numeric_hash", "inferred_dim",
+         "float_dim"],
+)
+def test_checkpoint_reads_integers_exactly(tmp_path, key, value, message):
+    # each edit fits the [2, 4, 3] weights, so only the exact type check rejects it
+    path = tmp_path / "model.json"
+    save_checkpoint(init_model([2, 4, 3], seed=0), path, seed=0, config_hash="h")
+    payload = json.loads(path.read_text())
+    path.write_text(json.dumps({**payload, key: value}))
+    with pytest.raises(ValueError, match=f"model checkpoint {message}"):
         load_checkpoint(path)
 
 

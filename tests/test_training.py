@@ -1,6 +1,7 @@
 """Tests for the training loop, its four step functions and their shared batch reductions."""
 
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -33,6 +34,7 @@ from codat.training import (
     class_avg_loss,
     config_fingerprint,
     train,
+    _config_payload,
     _history_header,
 )
 
@@ -83,6 +85,21 @@ class TestTrainConfig:
             make_config("codat", eta=-0.1)
         with pytest.raises(ValueError, match="sorted"):
             make_config("standard_at", lr_milestones=(4, 2))
+
+    @pytest.mark.parametrize("name", ["base_lr", "weight_decay", "lr_factor", "eta"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_rejects_non_finite_settings(self, name, value):
+        with pytest.raises(ValueError, match="finite"):
+            make_config("codat", **{name: value})
+
+    def test_payload_names_every_field_once(self):
+        weights = ProbabilityDistribution(np.array([0.2, 0.3, 0.5]))
+        for config in (make_config("codat"), make_config("weighted", fixed_weights=weights)):
+            payload = _config_payload(config)
+            assert sorted(payload) == sorted(f.name for f in fields(TrainConfig))
+            assert payload["attack"] == config.attack.as_dict()
+            assert payload["lr_milestones"] == [] and payload["hidden_dims"] == [8]
+        assert payload["eta"] is None and payload["fixed_weights"] == [0.2, 0.3, 0.5]
 
     def test_rejects_momentum_one(self):
         with pytest.raises(ValueError, match="momentum"):
