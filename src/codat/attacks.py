@@ -17,8 +17,6 @@ import numpy as np
 
 from .nn_engine import LabeledBatch, ModelParams, backward
 
-_REPAIR_ROUNDS = 64
-
 
 @dataclass(frozen=True)
 class AttackConfig:
@@ -54,26 +52,19 @@ class AttackConfig:
         return asdict(self)
 
 
-def _repair_ball(perturbed: np.ndarray, anchor: np.ndarray, epsilon: float) -> np.ndarray:
-    # fl(anchor +- delta) can land one ulp outside the ball; walk those
-    # coordinates back toward the anchor until the measured distance fits
-    for _ in range(_REPAIR_ROUNDS):
-        outside = np.abs(perturbed - anchor) > epsilon
-        if not np.any(outside):
-            return perturbed
-        perturbed[outside] = np.nextafter(perturbed[outside], anchor[outside])
-    # unreachable in practice; the anchor itself is always feasible
-    still_outside = np.abs(perturbed - anchor) > epsilon
-    perturbed[still_outside] = anchor[still_outside]
-    return perturbed
+def _repair_ball(bound: np.ndarray, anchor: np.ndarray, epsilon: float) -> np.ndarray:
+    # fl(anchor +- epsilon) lies at most half a spacing outside the ball, so one
+    # ulp toward the anchor suffices: |bound - anchor| then rounds to <= epsilon
+    outside = np.abs(bound - anchor) > epsilon
+    return np.where(outside, np.nextafter(bound, anchor), bound)
 
 
 def feasible_box(anchor: np.ndarray, epsilon: float) -> tuple[np.ndarray, np.ndarray]:
     """Bounds (lo, hi) for anchors in [0, 1]; every value between them is feasible.
 
-    Each bound is fl(anchor -+ epsilon) walked back into the ball by the
-    ulp, then cut to [0, 1].  fl(|x - anchor|) is monotone in x on each side
-    of the anchor, so `np.clip(x, lo, hi)` is exactly feasible.
+    Each bound is fl(anchor -+ epsilon) walked back into the ball by at most
+    one ulp, then cut to [0, 1].  fl(|x - anchor|) is monotone in x on each
+    side of the anchor, so `np.clip(x, lo, hi)` is exactly feasible.
     """
     lo = _repair_ball(anchor - epsilon, anchor, epsilon)
     hi = _repair_ball(anchor + epsilon, anchor, epsilon)

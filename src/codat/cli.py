@@ -45,7 +45,9 @@ from .nn_engine import (
     load_checkpoint,
     save_checkpoint,
 )
-from .training import VALID_METHODS, TrainConfig, config_fingerprint, train
+from .training import (
+    VALID_METHODS, TrainConfig, TrainHistory, check_fit, config_fingerprint, train
+)
 
 OUT_ROOT_ENV = "CODAT_OUT_ROOT"
 
@@ -325,8 +327,8 @@ def _checkpoint_and_data(args: argparse.Namespace, resolved: dict):
 def _train_run(resolved: dict, train_data: Dataset, test_data: Dataset):
     """Train one configuration and write its run directory; returns it and both reports.
 
-    The directory is created only once training has succeeded, and every
-    artifact is written and reloaded before this returns.
+    The directory is created only once training has succeeded; the checkpoint,
+    the history and both reports are written and reloaded before this returns.
     """
     config = build_train_config(resolved)
     eval_attack = _attack(resolved, "eval_")
@@ -343,6 +345,7 @@ def _train_run(resolved: dict, train_data: Dataset, test_data: Dataset):
     _write_eval(natural, resolved, out_dir, "natural")
     _write_eval(adversarial, resolved, out_dir, "adversarial")
     load_checkpoint(checkpoint_path)
+    TrainHistory.load_jsonl(out_dir / "history.jsonl")
     return out_dir, natural, adversarial
 
 
@@ -523,17 +526,21 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     train_data, test_data = _datasets(resolved)
     rows = []
     started = time.perf_counter()
-    for eta in etas:
-        try:
+    try:
+        for eta in etas:  # every radius must fit the data before the first one trains
+            check_fit(build_train_config({**resolved, "eta": eta}), train_data)
+        for eta in etas:
             _, _, report = _train_run({**resolved, "eta": eta}, train_data, test_data)
-        except (ValueError, RuntimeError) as exc:
-            raise CliError(f"sweep failed at eta={eta:g}: {exc}") from None
-        elapsed = time.perf_counter() - started
-        rows.append((eta, report.average_accuracy, report.worst_class_accuracy, elapsed))
-        print(
-            f"eta={eta:g}: avg={report.average_accuracy:.4f} "
-            f"worst={report.worst_class_accuracy:.4f} ({elapsed:.1f}s elapsed)"
-        )
+            elapsed = time.perf_counter() - started
+            rows.append((eta, report.average_accuracy, report.worst_class_accuracy, elapsed))
+            print(
+                f"eta={eta:g}: avg={report.average_accuracy:.4f} "
+                f"worst={report.worst_class_accuracy:.4f} ({elapsed:.1f}s elapsed)"
+            )
+    except (ValueError, RuntimeError) as exc:
+        # keep the class, so a diverged run exits 1 here as it does in train
+        exc.args = (f"sweep failed at eta={eta:g}: {exc}",)
+        raise
     sweep_dir = _out_root(resolved) / f"sweep_{resolved['preset']}_seed{resolved['seed']}"
     sweep_dir.mkdir(parents=True, exist_ok=True)
     csv_path = sweep_dir / "sweep.csv"

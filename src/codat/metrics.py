@@ -221,6 +221,10 @@ def fec_rows(named_accuracies: list[tuple[str, float, float]], baseline: str) ->
 
     The baseline row gets coefficient 1.0 exactly; row order is preserved.
     """
+    names = [name for name, _, _ in named_accuracies]
+    repeated = sorted({name for name in names if names.count(name) > 1})
+    if repeated:
+        raise ValueError(f"duplicate method names {repeated}: each row needs its own name")
     by_name = {name: (avg, wst) for name, avg, wst in named_accuracies}
     if baseline not in by_name:
         raise ValueError(f"baseline {baseline!r} missing from methods {sorted(by_name)}")

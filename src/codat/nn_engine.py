@@ -5,10 +5,10 @@ softmax cross-entropy, gradients with respect to both parameters and
 inputs (`backward`, for the training update) or to the inputs alone
 (`backward` without loss weights, for the attack loop), SGD with momentum
 and weight decay, and a piecewise-constant learning-rate schedule.
-Everything is plain numpy in float64.  Each dense layer writes its output
-into one fresh array and adds the bias and applies the rectifier in place,
-so a 512-row pass through 256-unit layers peaks at about 2 MiB of
-temporaries.
+Everything is plain numpy in float64.  `forward` and `backward` share one
+layer walk, in which each dense layer writes its output into one fresh
+array and adds the bias and applies the rectifier in place, so a 512-row
+pass through 256-unit layers peaks at about 2 MiB of temporaries.
 """
 
 from __future__ import annotations
@@ -138,20 +138,28 @@ def init_optimizer(
     return OptimizerState(buffers, learning_rate, momentum, weight_decay)
 
 
-def forward(model: ModelParams, batch: LabeledBatch) -> np.ndarray:
-    """Logits for every batch row; rectifier between layers, identity at output."""
-    if batch.features.shape[1] != model.input_dim:
+def _walk(model: ModelParams, features: np.ndarray, keep_inputs: bool):
+    """(logits, layer inputs if `keep_inputs`, rectifier masks) of one pass."""
+    if features.shape[1] != model.input_dim:
         raise ValueError(
-            f"feature dim {batch.features.shape[1]} does not match model input {model.input_dim}"
+            f"feature dim {features.shape[1]} does not match model input {model.input_dim}"
         )
-    activation = batch.features
+    activation, inputs, masks = features, [], []
     last = len(model.layers) - 1
     for idx, (weight, bias) in enumerate(model.layers):
+        if keep_inputs:
+            inputs.append(activation)
         activation = activation @ weight.T
         activation += bias
         if idx != last:
+            masks.append(activation > 0.0)
             np.maximum(activation, 0.0, out=activation)
-    return activation
+    return activation, inputs, masks
+
+
+def forward(model: ModelParams, batch: LabeledBatch) -> np.ndarray:
+    """Logits for every batch row; rectifier between layers, identity at output."""
+    return _walk(model, batch.features, keep_inputs=False)[0]
 
 
 def cross_entropy_per_example(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
@@ -188,30 +196,7 @@ def backward(
         loss_weights = np.asarray(loss_weights, dtype=np.float64)
         if loss_weights.shape != (batch.size,):
             raise ValueError(f"loss weights shape {loss_weights.shape} does not match batch {batch.size}")
-    if batch.features.shape[1] != model.input_dim:
-        raise ValueError(
-            f"feature dim {batch.features.shape[1]} does not match model input {model.input_dim}"
-        )
-    # forward pass keeping the rectifier masks, and the layer inputs when
-    # weight gradients are wanted; the bias and the rectifier act in place
-    # on each layer's one fresh output array
-    activation = batch.features
-    inputs = []
-    masks = []
-    for weight, bias in model.layers[:-1]:
-        if weighted:
-            inputs.append(activation)
-        activation = activation @ weight.T
-        activation += bias
-        masks.append(activation > 0.0)
-        np.maximum(activation, 0.0, out=activation)
-    weight, bias = model.layers[-1]
-    if weighted:
-        inputs.append(activation)
-    logits = activation @ weight.T
-    logits += bias
-    # without weights the sweep needs only the masks: free the last layer input
-    del activation
+    logits, inputs, masks = _walk(model, batch.features, keep_inputs=weighted)
 
     # softmax cross-entropy head
     shift = np.max(logits, axis=1, keepdims=True)

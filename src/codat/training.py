@@ -309,14 +309,8 @@ def _history_header(config: TrainConfig, train_data: Dataset) -> dict:
     }
 
 
-def train(config: TrainConfig, train_data: Dataset, eval_data: Dataset | None = None):
-    """Train with the class weighting of `config.method`; returns (model, history).
-
-    Every method runs the same loop and differs only in its STEP_FNS entry.
-    The DRO method at radius zero runs the standard trainer's exact path.
-    Given `eval_data`, returns the epoch snapshot with the highest
-    worst-class accuracy on it under the training attack, not the final model.
-    """
+def check_fit(config: TrainConfig, train_data: Dataset) -> None:
+    """Raise ValueError unless `config` can train on `train_data`'s classes."""
     num_classes = train_data.num_classes
     if num_classes < 2:
         raise ValueError("training needs at least 2 classes")
@@ -328,6 +322,18 @@ def train(config: TrainConfig, train_data: Dataset, eval_data: Dataset | None = 
         raise ValueError(
             f"fixed weights cover {config.fixed_weights.size} classes, data has {num_classes}"
         )
+
+
+def train(config: TrainConfig, train_data: Dataset, eval_data: Dataset | None = None):
+    """Train with the class weighting of `config.method`; returns (model, history).
+
+    Every method runs the same loop and differs only in its STEP_FNS entry.
+    The DRO method at radius zero runs the standard trainer's exact path.
+    Given `eval_data`, returns the epoch snapshot with the highest
+    worst-class accuracy on it under the training attack, not the final model.
+    """
+    check_fit(config, train_data)
+    num_classes = train_data.num_classes
     step_fn = STEP_FNS[_canonical_method(config)]
     model = init_model(
         [train_data.features.shape[1], *config.hidden_dims, num_classes], config.seed
@@ -349,14 +355,15 @@ def train(config: TrainConfig, train_data: Dataset, eval_data: Dataset | None = 
             adv_batch = LabeledBatch(adv_features, batch.labels)
             adv_losses = cross_entropy_per_example(forward(model, adv_batch), batch.labels)
             natural = float(np.mean(cross_entropy_per_example(forward(model, batch), batch.labels)))
+            # finite squares keep every class risk, moment and step loss finite
+            if not np.isfinite(np.dot(adv_losses, adv_losses)):
+                raise RuntimeError(
+                    f"training diverged: non-finite losses or squares at epoch {epoch} batch {idx}"
+                )
             risks, counts, sums = class_avg_loss(adv_losses, batch.labels, num_classes)
             loss, example_weights, class_row, valid = step_fn(
                 config, adv_losses, batch.labels, risks, counts
             )
-            if not np.isfinite(loss):
-                raise RuntimeError(
-                    f"training diverged: non-finite loss {loss} at epoch {epoch} batch {idx}"
-                )
             grads, _ = backward(model, adv_batch, example_weights)
             sgd_step(model, grads, state)
             hit = _riskiest_class(risks, counts) == int(np.argmax(class_row))

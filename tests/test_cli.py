@@ -211,6 +211,14 @@ class TestTrainCommand:
         assert "finite" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    def test_history_is_reloaded(self, tmp_path, monkeypatch, capsys):
+        def unreadable(path):
+            raise ValueError(f"{path}: unreadable history")
+
+        monkeypatch.setattr("codat.training.TrainHistory.load_jsonl", unreadable)
+        assert run_train(tmp_path, "--method", "standard_at", "--epochs", "1") == 2
+        assert "unreadable history" in capsys.readouterr().err
+
     def test_every_train_config_field_comes_from_its_key(self):
         values = {
             "method": "weighted", "epochs": 7, "batch_size": 33, "base_lr": 0.07, "seed": 9,
@@ -448,6 +456,20 @@ class TestFecCommand:
         payload = json.loads((tmp_path / "fec.json").read_text())
         assert payload == [{"method": "at", "avg": 80.0, "wst": 60.0, "fec": 1.0}]
 
+    def test_reports_of_one_stem_rejected(self, tmp_path, capsys):
+        # the adversarial reports of two run directories are both named by their stem
+        paths = []
+        for run in ("first", "second"):
+            (tmp_path / run).mkdir()
+            paths.append(tmp_path / run / "eval_adversarial.json")
+            report = EvalReport(np.array([[1, 1], [0, 2]]), "pgd", 0).to_dict()
+            paths[-1].write_text(json.dumps(report), encoding="utf-8")
+        rc = main(["fec", "--reports", *map(str, paths), "--baseline", "eval_adversarial",
+                   "--out", str(tmp_path / "fec")])
+        assert rc == 2
+        assert "duplicate method names ['eval_adversarial']" in capsys.readouterr().err
+        assert not (tmp_path / "fec").exists()
+
     def test_missing_baseline_rejected(self, tmp_path, capsys):
         rc = main(["fec", "--row", "a,1,1", "--baseline", "zzz", "--out", str(tmp_path)])
         assert rc == 2
@@ -625,6 +647,32 @@ class TestSweepCommand:
         assert main(argv) == 2
         assert "eta0.3" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "etas, message",
+        [("0.3,2.5", "K - 1 = 2"), ("0.3,nan", "finite"), ("0.3,-1", "nonnegative")],
+        ids=["beyond_bound", "nan", "negative"],
+    )
+    def test_every_radius_checked_before_any_trains(
+        self, tmp_path, monkeypatch, capsys, etas, message
+    ):
+        def no_training(*args, **kwargs):
+            raise AssertionError("a radius trained before every radius was checked")
+
+        monkeypatch.setattr("codat.cli.train", no_training)
+        argv = ["sweep", "--preset", "toy3", "--seed", "0", "--out-root", str(tmp_path),
+                "--etas", etas] + TINY
+        assert main(argv) == 2
+        assert message in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_diverging_sweep_exits_like_train(self, tmp_path, capsys):
+        argv = ["sweep", "--preset", "toy3", "--seed", "0", "--out-root", str(tmp_path),
+                "--etas", "0", "--lr", "1e100"] + TINY
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "sweep failed at eta=0" in err and "diverged" in err
 
     def test_failing_run_names_the_eta(self, tmp_path, capsys):
         argv = ["sweep", "--preset", "toy3", "--seed", "0",

@@ -286,6 +286,12 @@ def test_fec_rows_missing_baseline_errors():
         fec_rows([("codat", 50.0, 37.0)], baseline="at")
 
 
+def test_fec_rows_reject_a_repeated_name():
+    # keyed by name, the last 'a' row would become the baseline of both
+    with pytest.raises(ValueError, match=r"duplicate method names \['a'\]"):
+        fec_rows([("a", 50.0, 30.0), ("a", 60.0, 40.0), ("b", 55.0, 35.0)], baseline="a")
+
+
 def synthetic_report(per_class):
     per_class = np.asarray(per_class, dtype=np.float64)
     counts = np.full(per_class.size, 10)

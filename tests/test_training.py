@@ -370,11 +370,19 @@ class TestTrainingLoop:
 
     def test_divergence_raises_runtime_error(self):
         data = small_dataset()
-        cfg = make_config("standard_at", base_lr=1e9, epochs=4, batch_size=16)
-        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
-            RuntimeError, match="diverged"
-        ):
-            train(cfg, data)
+        cases = [
+            ("standard_at", 1e9, {}),
+            # the class risks stay finite but their squares overflow
+            ("codat", 1e6, {"eta": 0.5, "attack": NO_ATTACK}),
+            # the losses themselves overflow, with no attack to stop first
+            ("standard_at", 1e100, {"attack": NO_ATTACK}),
+        ]
+        for method, base_lr, overrides in cases:
+            cfg = make_config(method, base_lr=base_lr, epochs=4, batch_size=16, **overrides)
+            with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+                RuntimeError, match="diverged"
+            ):
+                train(cfg, data)
 
     def test_learning_rate_schedule_recorded_exactly(self):
         data = small_dataset(per_class=10)
