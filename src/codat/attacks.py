@@ -15,7 +15,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .nn_engine import LabeledBatch, ModelParams, backward
+from .data import LabeledBatch
+from .nn_engine import ModelParams, backward
 
 
 @dataclass(frozen=True)
@@ -97,7 +98,7 @@ def pgd_attack(
     else:
         perturbed = anchor.copy()
     for step in range(cfg.steps):
-        _, input_grads = backward(model, LabeledBatch(perturbed, batch.labels))
+        _, input_grads = backward(model, perturbed, batch.labels)
         if not np.all(np.isfinite(input_grads)):
             raise RuntimeError(
                 f"non-finite input gradient at attack step {step}; "

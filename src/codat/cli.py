@@ -39,7 +39,6 @@ from .metrics import (
     fec_table_to_json,
 )
 from .nn_engine import (
-    LabeledBatch,
     cross_entropy_per_example,
     forward,
     load_checkpoint,
@@ -327,21 +326,21 @@ def _checkpoint_and_data(args: argparse.Namespace, resolved: dict):
 def _train_run(resolved: dict, train_data: Dataset, test_data: Dataset):
     """Train one configuration and write its run directory; returns it and both reports.
 
-    The directory is created only once training has succeeded; the checkpoint,
-    the history and both reports are written and reloaded before this returns.
+    The directory is created only once training and both evaluations have
+    succeeded; its checkpoint, history and reports are then written and reloaded.
     """
     config = build_train_config(resolved)
     eval_attack = _attack(resolved, "eval_")
     # given eval data, train returns its best epoch on it: select_best picks on the test split
     model, history = train(config, train_data, test_data if resolved["select_best"] else None)
+    natural = evaluate(model, test_data, attack=None, seed=config.seed)
+    adversarial = evaluate(model, test_data, attack=eval_attack, seed=config.seed)
     out_dir = run_directory(resolved)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "config.txt").write_text(format_config(resolved), encoding="utf-8")
     checkpoint_path = out_dir / "checkpoint.json"
     save_checkpoint(model, checkpoint_path, seed=config.seed, config_hash=config_fingerprint(config))
     history.save_jsonl(out_dir / "history.jsonl")
-    natural = evaluate(model, test_data, attack=None, seed=config.seed)
-    adversarial = evaluate(model, test_data, attack=eval_attack, seed=config.seed)
     _write_eval(natural, resolved, out_dir, "natural")
     _write_eval(adversarial, resolved, out_dir, "adversarial")
     load_checkpoint(checkpoint_path)
@@ -390,8 +389,8 @@ def cmd_attack(args: argparse.Namespace) -> int:
     adv_loss = 0.0
     for batch, adv in attacked_batches(model, data, attack, resolved["seed"]):
         adv_rows.append(adv)
-        nat_logits = forward(model, batch)
-        adv_logits = forward(model, LabeledBatch(adv, batch.labels))
+        nat_logits = forward(model, batch.features)
+        adv_logits = forward(model, adv)
         nat_loss += float(np.sum(cross_entropy_per_example(nat_logits, batch.labels)))
         adv_loss += float(np.sum(cross_entropy_per_example(adv_logits, batch.labels)))
         nat_correct += int(np.sum(np.argmax(nat_logits, axis=1) + 1 == batch.labels))

@@ -3,8 +3,8 @@
 Provides a controllable K-class Gaussian-mixture generator whose default
 3-class preset places two class means close together (one hard pair, one
 easy class), an IDX binary loader for MNIST-style corpora, a numeric CSV
-loader, and a seeded batch iterator.  All produced features live in
-[0, 1] as the attack module requires.
+loader, and a seeded iterator of `LabeledBatch` minibatches, all with
+features in [0, 1] as the attack module requires.
 """
 
 from __future__ import annotations
@@ -16,10 +16,41 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .nn_engine import LabeledBatch
-
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
+
+
+@dataclass(frozen=True)
+class LabeledBatch:
+    """Feature rows in [0, 1] with 1-based integer class labels."""
+
+    features: np.ndarray
+    labels: np.ndarray
+
+    def __post_init__(self):
+        feats = np.asarray(self.features, dtype=np.float64)
+        labels = np.asarray(self.labels)
+        # at least one row and at least one feature column
+        if feats.ndim != 2 or feats.size == 0:
+            raise ValueError(f"features must be a nonempty 2-d array, got shape {feats.shape}")
+        if labels.shape != (feats.shape[0],):
+            raise ValueError(f"labels shape {labels.shape} does not match {feats.shape[0]} rows")
+        if not np.issubdtype(labels.dtype, np.integer):
+            raise ValueError("labels must be integers")
+        if np.min(labels) < 1:
+            raise ValueError("labels are 1-based; smallest allowed value is 1")
+        # written so that NaN, which fails every comparison, fails the check
+        if not (np.min(feats) >= 0.0 and np.max(feats) <= 1.0):
+            raise ValueError(
+                f"features must be finite and lie in [0, 1], got range "
+                f"[{np.min(feats)}, {np.max(feats)}]"
+            )
+        object.__setattr__(self, "features", feats)
+        object.__setattr__(self, "labels", labels.astype(np.int64))
+
+    @property
+    def size(self) -> int:
+        return int(self.features.shape[0])
 
 
 @dataclass(frozen=True)
@@ -254,7 +285,8 @@ def batch_iter(dataset: Dataset, batch_size: int, seed, shuffle: bool = True, ep
     """Yield LabeledBatch minibatches covering the dataset exactly once.
 
     The permutation is a pure function of (seed, epoch); the final short
-    batch is emitted rather than dropped.
+    batch is emitted rather than dropped.  Each batch is its rows' one
+    validated wrapper: the network and the trainer take its arrays as they are.
     """
     if batch_size < 1:
         raise ValueError(f"batch size must be at least 1, got {batch_size}")

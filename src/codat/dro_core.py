@@ -95,6 +95,8 @@ class AmbiguityConfig:
     degenerate one-class distributions and the worst case collapses onto the
     single hardest class.  `eta == 0` is allowed and collapses the ball to
     the center itself, which downstream code uses as the plain-average limit.
+    The center may give a class zero mass, and then so does every feasible
+    point; the codat step clamps eta below its present classes less one.
     """
 
     p0: ProbabilityDistribution
@@ -213,11 +215,11 @@ def closed_form(risks: ClassRiskVector, cfg: AmbiguityConfig) -> ClosedForm:
 def worst_case_distribution(risks: ClassRiskVector, cfg: AmbiguityConfig) -> WorstCaseSolution:
     """Maximizer of E_P[R] over the chi-square ball intersected with the simplex.
 
-    The center for constant risks or a zero radius, the closed form where it
-    is valid, and otherwise the exact best response of `exact_worst_case`.
+    The center for constant risks, the closed form where it is valid (the
+    center itself at zero radius), else the exact best response of `exact_worst_case`.
     """
     form = closed_form(risks, cfg)
-    if form.degenerate or cfg.eta == 0.0:
+    if form.degenerate:
         return WorstCaseSolution(cfg.p0, form.mean, form.multiplier, form)
     if form.valid:
         return WorstCaseSolution(

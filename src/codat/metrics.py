@@ -19,8 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from .attacks import AttackConfig, pgd_attack
-from .data import Dataset, batch_iter
-from .nn_engine import LabeledBatch, ModelParams, check_artifact, forward
+from .data import Dataset, LabeledBatch, batch_iter
+from .nn_engine import ModelParams, check_artifact, forward
 
 REPORT_FORMAT = "codat-eval-report"
 REPORT_VERSION = 1
@@ -164,7 +164,10 @@ def evaluate(
         raise ValueError(f"class {missing[0] + 1} has no examples in the evaluation data")
     cells = []
     for batch, feats in attacked_batches(model, data, attack, seed):
-        predictions = np.argmax(forward(model, LabeledBatch(feats, batch.labels)), axis=1)
+        logits = forward(model, feats)
+        if not np.all(np.isfinite(logits)):
+            raise RuntimeError("non-finite logits in evaluation: the model has diverged")
+        predictions = np.argmax(logits, axis=1)
         if np.max(predictions) >= num_classes:
             raise ValueError(
                 f"model predicts class {np.max(predictions) + 1}; data has {num_classes} classes"

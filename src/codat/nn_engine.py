@@ -5,10 +5,12 @@ softmax cross-entropy, gradients with respect to both parameters and
 inputs (`backward`, for the training update) or to the inputs alone
 (`backward` without loss weights, for the attack loop), SGD with momentum
 and weight decay, and a piecewise-constant learning-rate schedule.
-Everything is plain numpy in float64.  `forward` and `backward` share one
-layer walk, in which each dense layer writes its output into one fresh
-array and adds the bias and applies the rectifier in place, so a 512-row
-pass through 256-unit layers peaks at about 2 MiB of temporaries.
+Everything is plain numpy in float64, array in and array out: `forward`
+takes a 2-d feature array and `backward` that and one label in [1, K] per
+row.  They share one layer walk, in which each dense layer writes its
+output into one fresh array and adds the bias and applies the rectifier in
+place, so a 512-row pass through 256-unit layers peaks at about 2 MiB of
+temporaries.
 """
 
 from __future__ import annotations
@@ -64,39 +66,6 @@ class ModelParams:
         return self.layers[0][0].shape[1]
 
 
-@dataclass(frozen=True)
-class LabeledBatch:
-    """Feature rows in [0, 1] with 1-based integer class labels."""
-
-    features: np.ndarray
-    labels: np.ndarray
-
-    def __post_init__(self):
-        feats = np.asarray(self.features, dtype=np.float64)
-        labels = np.asarray(self.labels)
-        # at least one row and at least one feature column
-        if feats.ndim != 2 or feats.size == 0:
-            raise ValueError(f"features must be a nonempty 2-d array, got shape {feats.shape}")
-        if labels.shape != (feats.shape[0],):
-            raise ValueError(f"labels shape {labels.shape} does not match {feats.shape[0]} rows")
-        if not np.issubdtype(labels.dtype, np.integer):
-            raise ValueError("labels must be integers")
-        if np.min(labels) < 1:
-            raise ValueError("labels are 1-based; smallest allowed value is 1")
-        # written so that NaN, which fails every comparison, fails the check
-        if not (np.min(feats) >= 0.0 and np.max(feats) <= 1.0):
-            raise ValueError(
-                f"features must be finite and lie in [0, 1], got range "
-                f"[{np.min(feats)}, {np.max(feats)}]"
-            )
-        object.__setattr__(self, "features", feats)
-        object.__setattr__(self, "labels", labels.astype(np.int64))
-
-    @property
-    def size(self) -> int:
-        return int(self.features.shape[0])
-
-
 @dataclass
 class OptimizerState:
     """SGD state: one momentum buffer per parameter tensor."""
@@ -140,10 +109,8 @@ def init_optimizer(
 
 def _walk(model: ModelParams, features: np.ndarray, keep_inputs: bool):
     """(logits, layer inputs if `keep_inputs`, rectifier masks) of one pass."""
-    if features.shape[1] != model.input_dim:
-        raise ValueError(
-            f"feature dim {features.shape[1]} does not match model input {model.input_dim}"
-        )
+    if features.ndim != 2 or features.shape[1] != model.input_dim:
+        raise ValueError(f"features {features.shape} do not fit model input dim {model.input_dim}")
     activation, inputs, masks = features, [], []
     last = len(model.layers) - 1
     for idx, (weight, bias) in enumerate(model.layers):
@@ -157,14 +124,13 @@ def _walk(model: ModelParams, features: np.ndarray, keep_inputs: bool):
     return activation, inputs, masks
 
 
-def forward(model: ModelParams, batch: LabeledBatch) -> np.ndarray:
-    """Logits for every batch row; rectifier between layers, identity at output."""
-    return _walk(model, batch.features, keep_inputs=False)[0]
+def forward(model: ModelParams, features: np.ndarray) -> np.ndarray:
+    """Logits for every feature row; rectifier between layers, identity at output."""
+    return _walk(model, features, keep_inputs=False)[0]
 
 
-def cross_entropy_per_example(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """Per-row softmax cross-entropy via max-shifted log-sum-exp (nats)."""
-    logits = np.asarray(logits, dtype=np.float64)
+def _paired_labels(logits: np.ndarray, labels) -> np.ndarray:
+    # one label per logit row, each in [1, K]: a label 0 would read class K
     labels = np.asarray(labels)
     if logits.ndim != 2 or labels.shape != (logits.shape[0],):
         raise ValueError(f"logits {logits.shape} and labels {labels.shape} do not pair")
@@ -173,6 +139,13 @@ def cross_entropy_per_example(logits: np.ndarray, labels: np.ndarray) -> np.ndar
             f"labels must lie in [1, {logits.shape[1]}], got range "
             f"[{np.min(labels)}, {np.max(labels)}]"
         )
+    return labels
+
+
+def cross_entropy_per_example(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Per-row softmax cross-entropy via max-shifted log-sum-exp (nats)."""
+    logits = np.asarray(logits, dtype=np.float64)
+    labels = _paired_labels(logits, labels)
     shift = np.max(logits, axis=1, keepdims=True)
     logsumexp = np.log(np.sum(np.exp(logits - shift), axis=1)) + shift[:, 0]
     true_logit = logits[np.arange(logits.shape[0]), labels - 1]
@@ -180,9 +153,9 @@ def cross_entropy_per_example(logits: np.ndarray, labels: np.ndarray) -> np.ndar
 
 
 def backward(
-    model: ModelParams, batch: LabeledBatch, loss_weights: np.ndarray | None = None
+    model: ModelParams, features: np.ndarray, labels: np.ndarray, loss_weights=None
 ) -> tuple[list[tuple[np.ndarray, np.ndarray]] | None, np.ndarray]:
-    """Gradients of sum_i loss_weights[i] * cross_entropy_i.
+    """Gradients of sum_i loss_weights[i] * cross_entropy_i over the feature rows.
 
     Returns per-layer (weight gradient, bias gradient) pairs and the
     gradient with respect to the input features.  Without `loss_weights`
@@ -192,17 +165,18 @@ def backward(
     returned for weights of all ones.
     """
     weighted = loss_weights is not None
+    logits, inputs, masks = _walk(model, features, keep_inputs=weighted)
+    labels = _paired_labels(logits, labels)
     if weighted:
         loss_weights = np.asarray(loss_weights, dtype=np.float64)
-        if loss_weights.shape != (batch.size,):
-            raise ValueError(f"loss weights shape {loss_weights.shape} does not match batch {batch.size}")
-    logits, inputs, masks = _walk(model, batch.features, keep_inputs=weighted)
+        if loss_weights.shape != labels.shape:
+            raise ValueError(f"loss weights {loss_weights.shape} do not match labels {labels.shape}")
 
     # softmax cross-entropy head
     shift = np.max(logits, axis=1, keepdims=True)
     exp = np.exp(logits - shift)
     delta = exp / np.sum(exp, axis=1, keepdims=True)
-    delta[np.arange(batch.size), batch.labels - 1] -= 1.0
+    delta[np.arange(labels.size), labels - 1] -= 1.0
 
     grads = None
     if weighted:

@@ -28,12 +28,10 @@ from .dro_core import (
     AmbiguityConfig,
     ClassRiskVector,
     ProbabilityDistribution,
-    uniform_distribution,
     worst_case_distribution,
 )
 from .metrics import evaluate
 from .nn_engine import (
-    LabeledBatch,
     ModelParams,
     backward,
     check_artifact,
@@ -207,24 +205,21 @@ def _spread_over_examples(
 
 
 def _codat_step(config, adv_losses, labels, risks, counts):
-    # the ball is centred on uniform over the classes present in the batch
-    indices = np.nonzero(counts)[0]
-    if indices.size == 1:
+    # centred on uniform over the present classes, the ball gives absent ones weight 0
+    present = int(np.count_nonzero(counts))
+    if present == 1:
         # a single-class batch has no ball and degenerates to that class
         return _worst_class_step(config, adv_losses, labels, risks, counts)
     # a batch missing classes shrinks the Dirac bound; clamp just below it
-    eta = min(config.eta, (indices.size - 1) * (1.0 - 1e-9))
-    cfg = AmbiguityConfig(uniform_distribution(indices.size), eta)
-    solution = worst_case_distribution(ClassRiskVector(risks.risks[indices]), cfg)
+    eta = min(config.eta, (present - 1) * (1.0 - 1e-9))
+    center = ProbabilityDistribution(np.where(counts > 0, 1.0 / present, 0.0))
+    solution = worst_case_distribution(risks, AmbiguityConfig(center, eta))
     # history row: the feasible worst-case distribution; routing row: the
     # gradient of the deterministic equivalent, the batch loss (they coincide
     # when the closed form is valid, and only the gradient drives the update)
-    class_row = np.zeros(counts.size)
-    class_row[indices] = solution.distribution.weights
-    routing = np.zeros(counts.size)
-    routing[indices] = solution.closed_form.gradient
-    example_weights = _spread_over_examples(routing, labels, counts)
-    return solution.closed_form.objective, example_weights, class_row, solution.closed_form.valid
+    form = solution.closed_form
+    example_weights = _spread_over_examples(form.gradient, labels, counts)
+    return form.objective, example_weights, solution.distribution.weights, form.valid
 
 
 def _standard_step(config, adv_losses, labels, risks, counts):
@@ -352,9 +347,8 @@ def train(config: TrainConfig, train_data: Dataset, eval_data: Dataset | None = 
             batch_iter(train_data, config.batch_size, config.seed, epoch=epoch)
         ):
             adv_features = pgd_attack(model, batch, config.attack, seed=(config.seed, epoch, idx))
-            adv_batch = LabeledBatch(adv_features, batch.labels)
-            adv_losses = cross_entropy_per_example(forward(model, adv_batch), batch.labels)
-            natural = float(np.mean(cross_entropy_per_example(forward(model, batch), batch.labels)))
+            adv_losses = cross_entropy_per_example(forward(model, adv_features), batch.labels)
+            nat_losses = cross_entropy_per_example(forward(model, batch.features), batch.labels)
             # finite squares keep every class risk, moment and step loss finite
             if not np.isfinite(np.dot(adv_losses, adv_losses)):
                 raise RuntimeError(
@@ -364,11 +358,11 @@ def train(config: TrainConfig, train_data: Dataset, eval_data: Dataset | None = 
             loss, example_weights, class_row, valid = step_fn(
                 config, adv_losses, batch.labels, risks, counts
             )
-            grads, _ = backward(model, adv_batch, example_weights)
+            grads, _ = backward(model, adv_features, batch.labels, example_weights)
             sgd_step(model, grads, state)
             hit = _riskiest_class(risks, counts) == int(np.argmax(class_row))
             gap = None if valid is False else abs(float(np.dot(class_row, risks.risks)) - loss)
-            rows.append((loss, natural, sums, counts, class_row, hit, valid, gap))
+            rows.append((loss, float(nat_losses.mean()), sums, counts, class_row, hit, valid, gap))
         losses, naturals, sums, counts, class_rows, hits, valids, gaps = zip(*rows)
         risk_sums, risk_counts = _in_order_sum(sums), _in_order_sum(counts)
         valids = [valid for valid in valids if valid is not None]
@@ -388,9 +382,8 @@ def train(config: TrainConfig, train_data: Dataset, eval_data: Dataset | None = 
         )
         history.records.append(record)
         if eval_data is not None:
-            snapshot = ModelParams([(w.copy(), b.copy()) for w, b in model.layers])
-            report = evaluate(snapshot, eval_data, attack=config.attack, seed=config.seed)
+            report = evaluate(model, eval_data, attack=config.attack, seed=config.seed)
             if report.worst_class_accuracy > best_worst:
                 best_worst = report.worst_class_accuracy
-                best_snapshot = snapshot
+                best_snapshot = ModelParams([(w.copy(), b.copy()) for w, b in model.layers])
     return (model if best_snapshot is None else best_snapshot), history

@@ -13,7 +13,7 @@ import pytest
 
 from codat.attacks import AttackConfig, pgd_attack
 from codat.cli import main as cli_main
-from codat.data import MixtureSpec, gen_gaussian_mixture, toy3_spec
+from codat.data import LabeledBatch, MixtureSpec, gen_gaussian_mixture, toy3_spec
 from codat.dro_core import (
     AmbiguityConfig,
     ClassRiskVector,
@@ -27,7 +27,6 @@ from codat.dro_core import (
 )
 from codat.metrics import evaluate
 from codat.nn_engine import (
-    LabeledBatch,
     backward,
     cross_entropy_per_example,
     forward,
@@ -342,10 +341,10 @@ def test_criterion_5_gradient_checks():
 
         def batch_loss(features):
             probe = LabeledBatch(features.reshape(size, dims[0]), batch.labels)
-            losses = cross_entropy_per_example(forward(model, probe), probe.labels)
+            losses = cross_entropy_per_example(forward(model, probe.features), probe.labels)
             return float(np.dot(loss_weights, losses))
 
-        grads, input_grads = backward(model, batch, loss_weights)
+        grads, input_grads = backward(model, batch.features, batch.labels, loss_weights)
         numeric_inputs = _numeric_gradient(batch_loss, batch.features.ravel().copy())
         gap = np.max(
             np.abs(input_grads.ravel() - numeric_inputs)
@@ -363,7 +362,7 @@ def test_criterion_5_gradient_checks():
                     original[...] = flat.reshape(original.shape)
                     try:
                         losses = cross_entropy_per_example(
-                            forward(model, batch), batch.labels
+                            forward(model, batch.features), batch.labels
                         )
                         return float(np.dot(loss_weights, losses))
                     finally:

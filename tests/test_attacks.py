@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from codat import attacks
 from codat.attacks import AttackConfig, feasible_box, pgd_attack
+from codat.data import LabeledBatch
 from codat.nn_engine import (
-    LabeledBatch,
     ModelParams,
     cross_entropy_per_example,
     forward,
@@ -244,9 +244,9 @@ def test_single_sign_step_on_saturated_linear_model_moves_loss_by_radius_times_l
     eps = 0.0625
     cfg = AttackConfig(epsilon=eps, step_size=eps, steps=1, random_start=False)
     adversarial = pgd_attack(model, batch, cfg, seed=0)
-    loss_before = cross_entropy_per_example(forward(model, batch), labels)[0]
+    loss_before = cross_entropy_per_example(forward(model, batch.features), labels)[0]
     loss_after = cross_entropy_per_example(
-        forward(model, LabeledBatch(adversarial, labels)), labels
+        forward(model, LabeledBatch(adversarial, labels).features), labels
     )[0]
     assert loss_after - loss_before == eps * float(np.sum(np.abs(weight_row)))
 
@@ -281,13 +281,13 @@ def test_attack_no_weaker_than_its_random_start_on_average():
         start = clip_into_box(start, batch.features, cfg.epsilon)
         start_losses.append(
             float(np.mean(cross_entropy_per_example(
-                forward(model, LabeledBatch(start, batch.labels)), batch.labels
+                forward(model, LabeledBatch(start, batch.labels).features), batch.labels
             )))
         )
         out = pgd_attack(model, batch, cfg, seed=batch_idx)
         attacked_losses.append(
             float(np.mean(cross_entropy_per_example(
-                forward(model, LabeledBatch(out, batch.labels)), batch.labels
+                forward(model, LabeledBatch(out, batch.labels).features), batch.labels
             )))
         )
     assert np.mean(attacked_losses) >= np.mean(start_losses)

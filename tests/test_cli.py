@@ -177,6 +177,16 @@ class TestTrainCommand:
         assert run_train(tmp_path, "--method", "codat", "--eta", "9.5") == 2
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("method", ["standard_at", "codat"])
+    def test_run_diverging_on_its_last_step_exits_1(self, tmp_path, capsys, method):
+        # one full-split batch at a huge rate: the weights stay finite, the test logits do not
+        size = ["--epochs", "1", "--train-per-class", "20", "--test-per-class", "10",
+                "--batch-size", "100000", "--lr", "1e300", "--epsilon", "0"]
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert run_train(tmp_path, "--method", method, size=size) == 1
+        assert "diverged" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize(
         "command", [["train"], ["sweep", "--etas", "0.1,0.3"]], ids=["train", "sweep"]
     )

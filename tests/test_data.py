@@ -3,10 +3,12 @@ import struct
 import numpy as np
 import pytest
 
+from codat.attacks import AttackConfig
 from codat.data import (
     Dataset,
     IDX_IMAGES_MAGIC,
     IDX_LABELS_MAGIC,
+    LabeledBatch,
     MixtureSpec,
     batch_iter,
     gen_gaussian_mixture,
@@ -16,6 +18,8 @@ from codat.data import (
     toy3_spec,
 )
 from codat.nn_engine import backward, cross_entropy_per_example, forward, init_model, init_optimizer, sgd_step
+from codat.metrics import evaluate
+from codat.training import TrainConfig, train
 
 
 # ---------------------------------------------------------------- dataset
@@ -107,9 +111,9 @@ def test_toy3_preset_makes_one_class_pair_hard_for_a_linear_model():
     state = init_optimizer(model, learning_rate=0.1)
     for epoch in range(20):
         for batch in batch_iter(train, 64, seed=0, epoch=epoch):
-            grads, _ = backward(model, batch, np.full(batch.size, 1.0 / batch.size))
+            grads, _ = backward(model, batch.features, batch.labels, np.full(batch.size, 1.0 / batch.size))
             sgd_step(model, grads, state)
-    predictions = np.argmax(forward(model, next(batch_iter(train, train.size, 0, shuffle=False))), axis=1) + 1
+    predictions = np.argmax(forward(model, next(batch_iter(train, train.size, 0, shuffle=False)).features), axis=1) + 1
     per_class = [
         float(np.mean(predictions[train.labels == cls] == cls)) for cls in (1, 2, 3)
     ]
@@ -308,3 +312,27 @@ def test_toy3_labels_are_uint8_and_batches_cast_them_to_int64():
 def test_batching_rejects_batch_size_below_one():
     with pytest.raises(ValueError, match="batch size"):
         list(batch_iter(fixed_dataset(), 0, seed=0))
+
+
+# ------------------------------------------------------------ batch wrappers
+
+
+def test_one_labeled_batch_per_training_and_evaluation_batch(monkeypatch):
+    # the attack, the network and the trainer take a batch's arrays as they are
+    train_data = gen_gaussian_mixture(toy3_spec(samples_per_class=40, seed=0))
+    test_data = gen_gaussian_mixture(toy3_spec(samples_per_class=400, seed=1), split="test")
+    made = []
+    check = LabeledBatch.__post_init__
+
+    def counted(self):
+        made.append(self.size)
+        check(self)
+
+    monkeypatch.setattr(LabeledBatch, "__post_init__", counted)
+    config = TrainConfig(method="codat", epochs=1, batch_size=32, base_lr=0.1,
+                         attack=AttackConfig(0.05, 0.0125, 10), seed=0, hidden_dims=(16,))
+    model, _ = train(config, train_data)
+    assert made == [32, 32, 32, 24]
+    made.clear()
+    evaluate(model, test_data, attack=AttackConfig(0.05, 0.0125, 20), seed=0)
+    assert made == [512, 512, 176]

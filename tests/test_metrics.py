@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from codat.attacks import AttackConfig
-from codat.data import Dataset, gen_gaussian_mixture, toy3_spec, batch_iter
+from codat.data import Dataset, LabeledBatch, gen_gaussian_mixture, toy3_spec, batch_iter
 from codat.metrics import (
     EvalReport,
     FecInputs,
@@ -19,7 +19,6 @@ from codat.metrics import (
     fec_table_to_json,
 )
 from codat.nn_engine import (
-    LabeledBatch,
     ModelParams,
     backward,
     forward,
@@ -132,7 +131,7 @@ def lightly_trained_model(data, epochs=5, seed=0):
     state = init_optimizer(model, learning_rate=0.1)
     for epoch in range(epochs):
         for batch in batch_iter(data, 64, seed=seed, epoch=epoch):
-            grads, _ = backward(model, batch, np.full(batch.size, 1.0 / batch.size))
+            grads, _ = backward(model, batch.features, batch.labels, np.full(batch.size, 1.0 / batch.size))
             sgd_step(model, grads, state)
     return model
 
@@ -161,7 +160,7 @@ def test_report_internal_consistency_on_random_models():
         assert abs(report.class_variance - twopass) <= 1e-12
         assert report.average_accuracy == report.confusion.trace() / data.size
         # per-example loop as the reference for every confusion cell
-        predictions = np.argmax(forward(model, LabeledBatch(data.features, data.labels)), axis=1)
+        predictions = np.argmax(forward(model, LabeledBatch(data.features, data.labels).features), axis=1)
         reference = np.zeros((3, 3), dtype=np.int64)
         for true, pred in zip(data.labels, predictions):
             reference[true - 1, pred] += 1

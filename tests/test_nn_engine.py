@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from codat.data import LabeledBatch
 from codat.nn_engine import (
-    LabeledBatch,
     ModelParams,
     OptimizerState,
     backward,
@@ -88,21 +88,21 @@ def test_optimizer_state_validates_hyperparameters():
 def test_forward_zero_weights_gives_zero_logits():
     model = ModelParams([(np.zeros((3, 2)), np.zeros(3))])
     batch = LabeledBatch(np.array([[0.2, 0.7], [0.9, 0.1]]), np.array([1, 2]))
-    np.testing.assert_array_equal(forward(model, batch), np.zeros((2, 3)))
+    np.testing.assert_array_equal(forward(model, batch.features), np.zeros((2, 3)))
 
 
 def test_forward_identity_layer_passes_features_through():
     model = ModelParams([(np.eye(3), np.zeros(3))])
     feats = np.array([[0.1, 0.5, 0.9], [0.3, 0.3, 0.4]])
     batch = LabeledBatch(feats, np.array([1, 3]))
-    np.testing.assert_allclose(forward(model, batch), feats, atol=1e-15)
+    np.testing.assert_allclose(forward(model, batch.features), feats, atol=1e-15)
 
 
 def test_forward_rejects_feature_dim_mismatch():
     model = init_model([4, 3], seed=0)
     batch = LabeledBatch(np.full((2, 5), 0.5), np.array([1, 2]))
     with pytest.raises(ValueError, match="dim"):
-        forward(model, batch)
+        forward(model, batch.features)
 
 
 def test_forward_seed_42_two_layer_regression_lock():
@@ -111,7 +111,7 @@ def test_forward_seed_42_two_layer_regression_lock():
     model = init_model([3, 4, 2], seed=42)
     batch = LabeledBatch(np.array([[0.25, 0.5, 0.75]]), np.array([1]))
     expected = np.array([[0.041913746375376204, -0.25937555177781096]])
-    np.testing.assert_allclose(forward(model, batch), expected, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(forward(model, batch.features), expected, rtol=0, atol=1e-15)
 
 
 # ------------------------------------------------------- cross-entropy
@@ -155,7 +155,7 @@ def test_backward_zero_loss_weights_zero_gradients():
     rng = np.random.default_rng(1)
     model = init_model([3, 5, 2], seed=1)
     batch = make_batch(rng, 4, 3, 2)
-    grads, input_grads = backward(model, batch, np.zeros(4))
+    grads, input_grads = backward(model, batch.features, batch.labels, np.zeros(4))
     for gw, gb in grads:
         np.testing.assert_array_equal(gw, 0.0)
         np.testing.assert_array_equal(gb, 0.0)
@@ -167,8 +167,8 @@ def test_backward_scales_linearly_in_loss_weights():
     model = init_model([3, 5, 2], seed=2)
     batch = make_batch(rng, 4, 3, 2)
     weights = rng.uniform(0.1, 1.0, size=4)
-    grads_one, inputs_one = backward(model, batch, weights)
-    grads_two, inputs_two = backward(model, batch, 2.0 * weights)
+    grads_one, inputs_one = backward(model, batch.features, batch.labels, weights)
+    grads_two, inputs_two = backward(model, batch.features, batch.labels, 2.0 * weights)
     for (gw1, gb1), (gw2, gb2) in zip(grads_one, grads_two):
         np.testing.assert_allclose(gw2, 2.0 * gw1, rtol=1e-12)
         np.testing.assert_allclose(gb2, 2.0 * gb1, rtol=1e-12)
@@ -177,7 +177,7 @@ def test_backward_scales_linearly_in_loss_weights():
 
 def weighted_loss(model, feats, labels, weights):
     batch = LabeledBatch(feats, labels)
-    losses = cross_entropy_per_example(forward(model, batch), labels)
+    losses = cross_entropy_per_example(forward(model, batch.features), labels)
     return float(np.dot(weights, losses))
 
 
@@ -188,7 +188,7 @@ def test_backward_matches_finite_differences():
         model = init_model(dims, seed=int(rng.integers(10_000)))
         batch = make_batch(rng, 3, dims[0], dims[-1])
         weights = rng.uniform(0.2, 1.0, size=3)
-        grads, input_grads = backward(model, batch, weights)
+        grads, input_grads = backward(model, batch.features, batch.labels, weights)
         h = 1e-4
 
         for layer_idx, (gw, gb) in enumerate(grads):
@@ -224,7 +224,32 @@ def test_backward_rejects_mismatched_weights():
     model = init_model([2, 3], seed=0)
     batch = LabeledBatch(np.full((2, 2), 0.5), np.array([1, 2]))
     with pytest.raises(ValueError, match="weights"):
-        backward(model, batch, np.ones(3))
+        backward(model, batch.features, batch.labels, np.ones(3))
+
+
+@pytest.mark.parametrize(
+    "labels, match",
+    [
+        pytest.param(np.array([1, 4]), r"labels must lie in \[1, 3\]", id="above_k"),
+        pytest.param(np.array([0, 2]), r"labels must lie in \[1, 3\]", id="zero"),
+        pytest.param(np.array([1, 2, 3]), "do not pair", id="wrong_length"),
+    ],
+)
+@pytest.mark.parametrize("weighted", [False, True], ids=["attack", "update"])
+def test_backward_rejects_labels_outside_the_classes_or_rows(labels, match, weighted):
+    # a raw label 0 would read class K and a label above K would index past it
+    model = init_model([2, 3], seed=0)
+    weights = np.ones(2) if weighted else None
+    with pytest.raises(ValueError, match=match):
+        backward(model, np.full((2, 2), 0.5), labels, weights)
+
+
+def test_network_rejects_features_that_are_not_a_matrix():
+    model = init_model([2, 3], seed=0)
+    with pytest.raises(ValueError, match="do not fit"):
+        forward(model, np.full(2, 0.5))
+    with pytest.raises(ValueError, match="do not fit"):
+        backward(model, np.full((1, 1, 2), 0.5), np.array([1]))
 
 
 # ------------------------------------------- unweighted (attack) backward
@@ -236,8 +261,8 @@ def test_unweighted_backward_equals_unit_weights_bit_for_bit(dims, rows):
     rng = np.random.default_rng(rows)
     model = init_model(dims, seed=rows + len(dims))
     batch = make_batch(rng, rows, dims[0], dims[-1])
-    _, expected = backward(model, batch, np.ones(rows))
-    grads, got = backward(model, batch)
+    _, expected = backward(model, batch.features, batch.labels, np.ones(rows))
+    grads, got = backward(model, batch.features, batch.labels)
     assert grads is None
     assert got.shape == batch.features.shape
     assert np.array_equal(got, expected)
@@ -250,7 +275,7 @@ def test_unweighted_backward_matches_finite_differences():
     for dims in ([3, 4], [3, 6, 5, 4]):
         model = init_model(dims, seed=int(rng.integers(10_000)))
         batch = make_batch(rng, 4, dims[0], dims[-1])
-        _, analytic = backward(model, batch)
+        _, analytic = backward(model, batch.features, batch.labels)
         feats = batch.features.copy()
         for row in range(feats.shape[0]):
             for col in range(feats.shape[1]):
@@ -276,8 +301,8 @@ def test_unweighted_backward_equals_unit_weights_property(input_dim, hidden, num
     rng = np.random.default_rng(seed)
     model = init_model([input_dim, *hidden, num_classes], seed=seed)
     batch = make_batch(rng, rows, input_dim, num_classes)
-    _, expected = backward(model, batch, np.ones(rows))
-    grads, got = backward(model, batch)
+    _, expected = backward(model, batch.features, batch.labels, np.ones(rows))
+    grads, got = backward(model, batch.features, batch.labels)
     assert grads is None
     assert np.array_equal(got, expected)
 
@@ -308,22 +333,22 @@ def test_toy3_sized_passes_reuse_layer_temporaries():
     # one 1 MiB layer output plus the next one while it is formed: 2 MiB;
     # a fresh array for every bias add or rectifier would need 4 MiB
     model, batch, _ = toy3_sized_case()
-    assert traced_peak_mib(lambda: backward(model, batch)) <= 2.5
-    assert traced_peak_mib(lambda: forward(model, batch)) <= 2.5
+    assert traced_peak_mib(lambda: backward(model, batch.features, batch.labels)) <= 2.5
+    assert traced_peak_mib(lambda: forward(model, batch.features)) <= 2.5
 
 
 def test_toy3_sized_outputs_are_pinned():
     # hashes taken when every bias add and rectifier made a fresh array
     # (numpy 2.4, x86-64); the in-place layers must return the same bytes
     model, batch, weights = toy3_sized_case()
-    grads, input_grads = backward(model, batch, weights)
+    grads, input_grads = backward(model, batch.features, batch.labels, weights)
     h = hashlib.sha256()
     for gw, gb in grads:
         h.update(gw.tobytes())
         h.update(gb.tobytes())
     h.update(input_grads.tobytes())
     assert h.hexdigest() == "298c796b8fc8c999bf8288f0c69b8aa6e829918b27bfa7f671d1c80a43bcb905"
-    assert hashlib.sha256(forward(model, batch).tobytes()).hexdigest() == (
+    assert hashlib.sha256(forward(model, batch.features).tobytes()).hexdigest() == (
         "9cccfd9a9a0aa3a083f6c9434cbf4a16171ec84e6b20b341ae112efa294537ff"
     )
 
@@ -410,7 +435,7 @@ def test_identical_seed_gives_bit_identical_trajectory():
         digests = [params_digest(model)]
         for _ in range(5):
             batch = make_batch(rng, 8, 3, 2)
-            grads, _ = backward(model, batch, np.full(8, 1.0 / 8.0))
+            grads, _ = backward(model, batch.features, batch.labels, np.full(8, 1.0 / 8.0))
             sgd_step(model, grads, state)
             digests.append(params_digest(model))
         return digests

@@ -18,7 +18,6 @@ from codat.dro_core import (
     worst_case_distribution,
 )
 from codat.nn_engine import (
-    LabeledBatch,
     backward,
     cross_entropy_per_example,
     forward,
@@ -286,12 +285,12 @@ class TestTrainingLoop:
 
         expected = init_model([2, 2], seed=9)
         batch = next(iter(batch_iter(data, 4, seed=9, epoch=0)))
-        grads, _ = backward(expected, batch, np.full(4, 0.25))
+        grads, _ = backward(expected, batch.features, batch.labels, np.full(4, 0.25))
         wanted = [(w - 0.1 * gw, b - 0.1 * gb) for (w, b), (gw, gb) in zip(expected.layers, grads)]
         for (w, b), (ew, eb) in zip(model.layers, wanted):
             assert np.array_equal(w, ew)
             assert np.array_equal(b, eb)
-        losses = cross_entropy_per_example(forward(init_model([2, 2], seed=9), batch), batch.labels)
+        losses = cross_entropy_per_example(forward(init_model([2, 2], seed=9), batch.features), batch.labels)
         assert history.records[0].loss == pytest.approx(float(np.mean(losses)), abs=1e-15)
 
     def test_zero_radius_run_is_bit_identical_to_standard(self):
