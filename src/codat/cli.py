@@ -31,16 +31,15 @@ from .dro_core import (
 from .metrics import (
     EvalReport,
     artifact_json,
-    attacked_batches,
     confusion_to_csv,
     evaluate,
+    evaluated_batches,
     fec_rows,
     fec_table_to_csv,
     fec_table_to_json,
 )
 from .nn_engine import (
     cross_entropy_per_example,
-    forward,
     load_checkpoint,
     save_checkpoint,
 )
@@ -68,10 +67,9 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"expected a boolean, got {text!r}")
 
 
-# every configuration key, declared once: key -> (parser, default).  The
-# command-line flag is --<key with dashes> (base_lr is --lr).  Documented
-# defaults follow the published training recipe; the desk-scale preset
-# overrides them with values that finish in minutes
+# every key, declared once: key -> (parser, default); its flag is --<key
+# with dashes> (base_lr is --lr).  The defaults are the published recipe:
+# it needs IDX or CSV data and far more compute than a desk run
 _KEYS = {
     "method": (str, "codat"),
     "preset": (str, "none"),
@@ -107,6 +105,7 @@ _KEYS = {
 }
 DEFAULTS = {key: default for key, (_, default) in _KEYS.items()}
 
+# a preset lists only the values that differ from the defaults
 PRESETS = {
     "none": {},
     # three-class Gaussian mixture, small MLP, minutes on a CPU; the higher
@@ -115,32 +114,13 @@ PRESETS = {
     "toy3": {
         "epochs": 60,
         "batch_size": 64,
-        "base_lr": 0.1,
         "lr_milestones": (45, 54),
         "weight_decay": 5e-3,
         "eta": 0.3,
         "epsilon": 0.03,
         "attack_step_size": 0.0075,
-        "attack_steps": 10,
         "eval_attack_steps": 20,
         "eval_attack_step_size": 0.00375,
-        "hidden_dims": (256, 256),
-        "train_per_class": 500,
-        "test_per_class": 200,
-    },
-    # the published image-benchmark recipe, kept for documentation; needs
-    # externally supplied IDX data and far more compute than a desk run
-    "paper-cifar": {
-        "epochs": 100,
-        "batch_size": 128,
-        "base_lr": 0.1,
-        "lr_milestones": (75, 90),
-        "eta": 0.5,
-        "epsilon": 8.0 / 255.0,
-        "attack_step_size": 2.0 / 255.0,
-        "attack_steps": 10,
-        "eval_attack_steps": 100,
-        "eval_attack_step_size": 1.0 / 255.0,
     },
 }
 
@@ -227,14 +207,15 @@ def _out_root(resolved: dict) -> Path:
     return Path("runs")
 
 
+def _eta_name(eta: float) -> str:
+    return f"eta{eta:g}"
+
+
 def run_directory(resolved: dict) -> Path:
     if resolved.get("run_name"):
         return _out_root(resolved) / resolved["run_name"]
-    name = (
-        f"{resolved['method']}_{resolved['preset']}"
-        f"_eta{resolved['eta']:g}_seed{resolved['seed']}"
-    )
-    return _out_root(resolved) / name
+    name = f"{resolved['method']}_{resolved['preset']}_{_eta_name(resolved['eta'])}"
+    return _out_root(resolved) / f"{name}_seed{resolved['seed']}"
 
 
 def _configured(resolved: dict, keys: list[str], source: str) -> bool:
@@ -264,10 +245,6 @@ def _datasets(resolved: dict, splits=("train", "test")) -> list[Dataset]:
             seed = resolved["seed"] + (10000 if split == "test" else 0)
             spec = toy3_spec(resolved[f"{split}_per_class"], seed=seed, spread=resolved["spread"])
             datasets.append(gen_gaussian_mixture(spec, split=split))
-    elif resolved["preset"] == "paper-cifar":
-        raise CliError(
-            "preset paper-cifar documents the published recipe; supply IDX or CSV data to run"
-        )
     else:
         raise CliError("no dataset configured: pick --preset toy3 or give CSV/IDX paths")
     return datasets
@@ -387,10 +364,10 @@ def cmd_attack(args: argparse.Namespace) -> int:
     adv_correct = 0
     nat_loss = 0.0
     adv_loss = 0.0
-    for batch, adv in attacked_batches(model, data, attack, resolved["seed"]):
+    natural = evaluated_batches(model, data, None, resolved["seed"])
+    attacked = evaluated_batches(model, data, attack, resolved["seed"])
+    for (batch, _, nat_logits), (_, adv, adv_logits) in zip(natural, attacked):
         adv_rows.append(adv)
-        nat_logits = forward(model, batch.features)
-        adv_logits = forward(model, adv)
         nat_loss += float(np.sum(cross_entropy_per_example(nat_logits, batch.labels)))
         adv_loss += float(np.sum(cross_entropy_per_example(adv_logits, batch.labels)))
         nat_correct += int(np.sum(np.argmax(nat_logits, axis=1) + 1 == batch.labels))
@@ -432,7 +409,7 @@ def _fec_inputs(args: argparse.Namespace) -> list[tuple[str, float, float]]:
             if reader.fieldnames is None or not required.issubset(reader.fieldnames):
                 raise CliError(f"{args.csv}: expected columns eta,avg,wst")
             for row in reader:
-                name = f"eta{float(row['eta']):g}"
+                name = _eta_name(float(row["eta"]))
                 triples.append((name, float(row["avg"]), float(row["wst"])))
     for raw in args.row or []:
         parts = [p.strip() for p in raw.split(",")]
@@ -517,8 +494,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise CliError(f"--etas: {exc}") from None
     if not etas:
         raise CliError("--etas must list at least one value")
-    # run directories and sweep.csv rows name each radius with {eta:g}
-    names = [f"eta{eta:g}" for eta in etas]
+    # run directories, and fec rows read from sweep.csv, name each radius by _eta_name
+    names = [_eta_name(eta) for eta in etas]
     if len(set(names)) != len(names):
         raise CliError(f"duplicate eta values in {etas}: the radii are named {names}")
     resolved["method"] = "codat"

@@ -1,6 +1,7 @@
 """Accuracy evaluation and the fairness elasticity coefficient.
 
-Evaluation counts a confusion matrix, natural or under attack; the per-class
+Evaluation counts a confusion matrix, natural or under attack, from the
+logits of `evaluated_batches`, which `codat attack` shares; the per-class
 and average accuracies and the per-class variance derive from it.  The
 fairness elasticity coefficient compares a method against a baseline: exp of
 the worst-class improvement rate minus the average accuracy decline rate.
@@ -136,18 +137,20 @@ def class_variance(per_class_accuracy) -> float:
     return float(np.mean((values - np.mean(values)) ** 2))
 
 
-def attacked_batches(
+def evaluated_batches(
     model: ModelParams, data: Dataset, attack: AttackConfig | None, seed: int
-) -> Iterator[tuple[LabeledBatch, np.ndarray]]:
-    """(batch, features) for each unshuffled 512-row batch of `data`.
+) -> Iterator[tuple[LabeledBatch, np.ndarray, np.ndarray]]:
+    """(batch, features, logits) for each unshuffled 512-row batch of `data`.
 
-    With an attack the features are PGD's output under seed (seed, batch index).
+    With an attack the features are PGD's output under seed (seed, batch
+    index).  Raises RuntimeError on a non-finite logit: the model has diverged.
     """
     for idx, batch in enumerate(batch_iter(data, _EVAL_BATCH, seed=0, shuffle=False)):
-        if attack is None:
-            yield batch, batch.features
-        else:
-            yield batch, pgd_attack(model, batch, attack, seed=(seed, idx))
+        feats = batch.features if attack is None else pgd_attack(model, batch, attack, (seed, idx))
+        logits = forward(model, feats)
+        if not np.all(np.isfinite(logits)):
+            raise RuntimeError("non-finite logits in evaluation: the model has diverged")
+        yield batch, feats, logits
 
 
 def evaluate(
@@ -155,18 +158,15 @@ def evaluate(
 ) -> EvalReport:
     """Accuracy report on `data`, optionally under the PGD attack.
 
-    Deterministic for a fixed seed; the batches and their attack seeds come
-    from `attacked_batches`.  Every class must appear in the data.
+    Deterministic for a fixed seed; the batches, their attack seeds and the
+    divergence check come from `evaluated_batches`.  Every class must appear.
     """
     num_classes = data.num_classes
     missing = np.nonzero(data.class_counts == 0)[0]
     if missing.size:
         raise ValueError(f"class {missing[0] + 1} has no examples in the evaluation data")
     cells = []
-    for batch, feats in attacked_batches(model, data, attack, seed):
-        logits = forward(model, feats)
-        if not np.all(np.isfinite(logits)):
-            raise RuntimeError("non-finite logits in evaluation: the model has diverged")
+    for batch, _, logits in evaluated_batches(model, data, attack, seed):
         predictions = np.argmax(logits, axis=1)
         if np.max(predictions) >= num_classes:
             raise ValueError(

@@ -6,11 +6,11 @@ inputs (`backward`, for the training update) or to the inputs alone
 (`backward` without loss weights, for the attack loop), SGD with momentum
 and weight decay, and a piecewise-constant learning-rate schedule.
 Everything is plain numpy in float64, array in and array out: `forward`
-takes a 2-d feature array and `backward` that and one label in [1, K] per
-row.  They share one layer walk, in which each dense layer writes its
-output into one fresh array and adds the bias and applies the rectifier in
-place, so a 512-row pass through 256-unit layers peaks at about 2 MiB of
-temporaries.
+takes a 2-d feature array and `backward` that and one integer label in
+[1, K] per row, as `check_labels` requires of every label reader.  They
+share one layer walk, in which each dense layer writes its output into one
+fresh array and adds the bias and applies the rectifier in place, so a
+512-row pass through 256-unit layers peaks at about 2 MiB of temporaries.
 """
 
 from __future__ import annotations
@@ -129,14 +129,20 @@ def forward(model: ModelParams, features: np.ndarray) -> np.ndarray:
     return _walk(model, features, keep_inputs=False)[0]
 
 
-def _paired_labels(logits: np.ndarray, labels) -> np.ndarray:
-    # one label per logit row, each in [1, K]: a label 0 would read class K
+def check_labels(labels, rows: int, num_classes: int) -> np.ndarray:
+    """`labels` as an array of one integer in [1, num_classes] per row, else ValueError.
+
+    A label 0 would read class K, one above K would index past it, a float
+    one fails to index and a bool one (not an integer dtype) reads as 0 or 1.
+    """
     labels = np.asarray(labels)
-    if logits.ndim != 2 or labels.shape != (logits.shape[0],):
-        raise ValueError(f"logits {logits.shape} and labels {labels.shape} do not pair")
-    if np.min(labels) < 1 or np.max(labels) > logits.shape[1]:
+    if labels.shape != (rows,):
+        raise ValueError(f"{rows} rows and labels {labels.shape} do not pair")
+    if not np.issubdtype(labels.dtype, np.integer):
+        raise ValueError(f"labels must be integers, got dtype {labels.dtype}")
+    if np.min(labels) < 1 or np.max(labels) > num_classes:
         raise ValueError(
-            f"labels must lie in [1, {logits.shape[1]}], got range "
+            f"labels must lie in [1, {num_classes}], got range "
             f"[{np.min(labels)}, {np.max(labels)}]"
         )
     return labels
@@ -145,7 +151,9 @@ def _paired_labels(logits: np.ndarray, labels) -> np.ndarray:
 def cross_entropy_per_example(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
     """Per-row softmax cross-entropy via max-shifted log-sum-exp (nats)."""
     logits = np.asarray(logits, dtype=np.float64)
-    labels = _paired_labels(logits, labels)
+    if logits.ndim != 2:
+        raise ValueError(f"logits must be a 2-d array, got shape {logits.shape}")
+    labels = check_labels(labels, *logits.shape)
     shift = np.max(logits, axis=1, keepdims=True)
     logsumexp = np.log(np.sum(np.exp(logits - shift), axis=1)) + shift[:, 0]
     true_logit = logits[np.arange(logits.shape[0]), labels - 1]
@@ -166,7 +174,7 @@ def backward(
     """
     weighted = loss_weights is not None
     logits, inputs, masks = _walk(model, features, keep_inputs=weighted)
-    labels = _paired_labels(logits, labels)
+    labels = check_labels(labels, *logits.shape)
     if weighted:
         loss_weights = np.asarray(loss_weights, dtype=np.float64)
         if loss_weights.shape != labels.shape:

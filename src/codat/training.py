@@ -35,6 +35,7 @@ from .nn_engine import (
     ModelParams,
     backward,
     check_artifact,
+    check_labels,
     cross_entropy_per_example,
     forward,
     init_model,
@@ -43,8 +44,6 @@ from .nn_engine import (
     params_digest,
     sgd_step,
 )
-
-VALID_METHODS = ("codat", "standard_at", "weighted", "worst_class")
 
 HISTORY_FORMAT = "codat-history"
 HISTORY_VERSION = 1
@@ -166,16 +165,9 @@ def class_avg_loss(
     them rather than read the placeholder zeros.
     """
     losses = np.asarray(per_example_losses, dtype=np.float64)
-    labels = np.asarray(labels)
     if losses.ndim != 1 or losses.size < 1:
         raise ValueError("need a nonempty loss vector")
-    if labels.shape != losses.shape:
-        raise ValueError(f"labels shape {labels.shape} does not match losses {losses.shape}")
-    if np.min(labels) < 1 or np.max(labels) > num_classes:
-        raise ValueError(
-            f"labels must lie in [1, {num_classes}], got range "
-            f"[{np.min(labels)}, {np.max(labels)}]"
-        )
+    labels = check_labels(labels, losses.size, num_classes)
     sums = np.bincount(labels - 1, weights=losses, minlength=num_classes)
     counts = np.bincount(labels - 1, minlength=num_classes)
     present = counts > 0
@@ -256,6 +248,7 @@ STEP_FNS = {
     "weighted": _weighted_step,
     "worst_class": _worst_class_step,
 }
+VALID_METHODS = tuple(STEP_FNS)
 
 
 def _canonical_method(config: TrainConfig) -> str:

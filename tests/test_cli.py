@@ -25,6 +25,7 @@ from codat.cli import (
 )
 from codat.data import gen_gaussian_mixture, save_csv, toy3_spec
 from codat.metrics import EvalReport
+from codat.nn_engine import ModelParams, init_model, save_checkpoint
 from codat.training import TrainConfig
 
 TINY = [
@@ -133,7 +134,7 @@ class TestConfigResolution:
             ["--preset", "toy3", "--method", "weighted", "--lr", "0.05",
              "--lr-milestones", "3,5", "--hidden-dims", "16,8",
              "--fixed-weights", "0.2,0.5,0.3", "--no-random-start", "--select-best"],
-            ["--preset", "paper-cifar", "--hidden-dims", ""],
+            ["--hidden-dims", ""],
         ],
     )
     def test_config_file_round_trips(self, tmp_path, flags):
@@ -147,8 +148,10 @@ class TestConfigResolution:
         assert format_config(reread) == text
 
     def test_preset_catalog_is_documented(self):
-        assert set(PRESETS) == {"none", "toy3", "paper-cifar"}
-        assert PRESETS["paper-cifar"]["epsilon"] == pytest.approx(8 / 255)
+        assert set(PRESETS) == {"none", "toy3"}
+        # a preset lists only the values that differ from the defaults
+        for preset in PRESETS.values():
+            assert all(value != DEFAULTS[key] for key, value in preset.items())
 
     def test_run_directory_naming(self):
         resolved = dict(DEFAULTS)
@@ -296,11 +299,11 @@ class TestDatasets:
         assert rc == 2
         assert "missing test_labels" in capsys.readouterr().err
 
-    def test_paper_cifar_without_data_says_so_in_evaluate(self, trained_run, tmp_path, capsys):
+    def test_no_preset_without_data_says_so_in_evaluate(self, trained_run, tmp_path, capsys):
         rc = main(["evaluate", "--checkpoint", str(trained_run / "checkpoint.json"),
-                   "--preset", "paper-cifar", "--out", str(tmp_path)])
+                   "--preset", "none", "--out", str(tmp_path)])
         assert rc == 2
-        assert "preset paper-cifar" in capsys.readouterr().err
+        assert "no dataset configured" in capsys.readouterr().err
 
     def test_non_finite_csv_cell_is_a_usage_error(self, tmp_path, capsys):
         test = gen_gaussian_mixture(toy3_spec(samples_per_class=4, seed=3), split="test")
@@ -446,6 +449,19 @@ class TestAttackCommand:
         assert summary["adversarial_loss"] >= summary["natural_loss"]
         assert summary["adversarial_accuracy"] <= summary["natural_accuracy"]
         assert (tmp_path / "adversarial.csv").exists()
+
+    def test_diverged_model_exits_1_and_writes_nothing(self, tmp_path, capsys):
+        # finite weights whose logits overflow: the losses would be NaN
+        model = init_model([2, 8, 3], seed=0)
+        model = ModelParams([(w * 1e200, b) for w, b in model.layers])
+        save_checkpoint(model, tmp_path / "checkpoint.json", seed=0, config_hash="x")
+        with np.errstate(over="ignore", invalid="ignore"):
+            rc = main(["attack", "--checkpoint", str(tmp_path / "checkpoint.json"),
+                       "--preset", "toy3", "--test-per-class", "5", "--epsilon", "0",
+                       "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert "diverged" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 class TestFecCommand:

@@ -233,6 +233,8 @@ def test_backward_rejects_mismatched_weights():
         pytest.param(np.array([1, 4]), r"labels must lie in \[1, 3\]", id="above_k"),
         pytest.param(np.array([0, 2]), r"labels must lie in \[1, 3\]", id="zero"),
         pytest.param(np.array([1, 2, 3]), "do not pair", id="wrong_length"),
+        pytest.param(np.array([1.0, 2.0]), "labels must be integers", id="float"),
+        pytest.param(np.array([True, True]), "labels must be integers", id="bool"),
     ],
 )
 @pytest.mark.parametrize("weighted", [False, True], ids=["attack", "update"])

@@ -140,6 +140,8 @@ class TestClassAvgLoss:
             class_avg_loss(np.array([1.0, 2.0]), np.array([1, 4]), 3)
         with pytest.raises(ValueError, match="labels"):
             class_avg_loss(np.array([1.0]), np.array([0]), 3)
+        with pytest.raises(ValueError, match="labels must be integers"):
+            class_avg_loss(np.array([1.0, 2.0]), np.array([1.0, 2.0]), 3)
 
 
 class TestCodatBatchLoss:
