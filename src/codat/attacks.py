@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .data import LabeledBatch
-from .nn_engine import ModelParams, backward
+from .nn_engine import ModelParams, backward, check_int
 
 
 @dataclass(frozen=True)
@@ -37,6 +37,7 @@ class AttackConfig:
             raise ValueError(f"epsilon must lie in [0, 1), got {self.epsilon}")
         if not math.isfinite(self.step_size):
             raise ValueError(f"step size must be finite, got {self.step_size}")
+        object.__setattr__(self, "steps", check_int("steps", self.steps))
         if self.steps < 1:
             raise ValueError(f"need at least one step, got {self.steps}")
         if self.epsilon > 0.0:

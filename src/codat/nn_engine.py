@@ -148,6 +148,13 @@ def check_labels(labels, rows: int, num_classes: int) -> np.ndarray:
     return labels
 
 
+def check_int(name: str, value) -> int:
+    """`value` as an int if it is an int or numpy integer (a bool is not), else ValueError."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name}: expected an integer, got {value!r}")
+    return int(value)
+
+
 def cross_entropy_per_example(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
     """Per-row softmax cross-entropy via max-shifted log-sum-exp (nats)."""
     logits = np.asarray(logits, dtype=np.float64)
@@ -201,8 +208,11 @@ def backward(
 
 def sgd_step(
     model: ModelParams, grads: list[tuple[np.ndarray, np.ndarray]], state: OptimizerState
-) -> tuple[ModelParams, OptimizerState]:
-    """In-place SGD update: buffer <- m*buffer + grad + wd*param; param <- param - lr*buffer."""
+) -> None:
+    """In-place SGD update: buffer <- m*buffer + grad + wd*param; param <- param - lr*buffer.
+
+    Updates `model`'s parameters and `state`'s buffers in place and returns None.
+    """
     if len(grads) != len(model.layers):
         raise ValueError(f"got {len(grads)} gradient pairs for {len(model.layers)} layers")
     for idx, ((weight, bias), (gw, gb), buffers) in enumerate(
@@ -214,7 +224,6 @@ def sgd_step(
             buffer *= state.momentum
             buffer += grad + state.weight_decay * param
             param -= state.learning_rate * buffer
-    return model, state
 
 
 def lr_at_epoch(base_lr: float, epoch: int, milestones: list[int], factor: float) -> float:

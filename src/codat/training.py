@@ -2,11 +2,11 @@
 
 All four methods share the loop in `train`: attack the minibatch, reduce
 the per-example adversarial cross-entropy with `class_avg_loss` to class
-risks and counts, turn those into a scalar batch loss through a
-method-specific class weighting (its `STEP_FNS` entry), and backpropagate by
-distributing each class weight over that class's examples.  The DRO trainer
-reads its loss, routing row and history row from one `worst_case_distribution`
-call per batch; standard adversarial training uses the plain example mean;
+risks and counts, and turn those through a method-specific class weighting
+(its `STEP_FNS` entry) into a scalar batch loss, a routing row that `train`
+alone spreads over each class's examples to drive the update, and a history
+row.  The DRO trainer reads all three from one `worst_case_distribution` call
+per batch; standard adversarial training routes the plain example mean;
 fixed-class-weighted training uses a static simplex weight vector; and
 worst-class training follows the subgradient of the max class risk.
 """
@@ -35,6 +35,7 @@ from .nn_engine import (
     ModelParams,
     backward,
     check_artifact,
+    check_int,
     check_labels,
     cross_entropy_per_example,
     forward,
@@ -75,6 +76,10 @@ class TrainConfig:
     def __post_init__(self):
         if self.method not in VALID_METHODS:
             raise ValueError(f"unknown method {self.method!r}; expected one of {VALID_METHODS}")
+        for name in ("epochs", "batch_size"):
+            object.__setattr__(self, name, check_int(name, getattr(self, name)))
+        for name in ("lr_milestones", "hidden_dims"):
+            object.__setattr__(self, name, tuple(check_int(name, v) for v in getattr(self, name)))
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch_size must be at least 1")
         if not 0.0 < self.base_lr < np.inf:
@@ -93,8 +98,6 @@ class TrainConfig:
             raise ValueError("fixed_weights must be given exactly for the weighted method")
         if any(h < 1 for h in self.hidden_dims):
             raise ValueError(f"hidden dims must be positive, got {self.hidden_dims}")
-        object.__setattr__(self, "lr_milestones", tuple(int(m) for m in self.lr_milestones))
-        object.__setattr__(self, "hidden_dims", tuple(int(h) for h in self.hidden_dims))
 
 
 @dataclass(frozen=True)
@@ -182,26 +185,21 @@ def _in_order_sum(values):
     return functools.reduce(operator.add, values, 0)
 
 
-def _spread_over_examples(
-    class_row: np.ndarray, labels: np.ndarray, counts: np.ndarray
-) -> np.ndarray:
-    # gradient routing: class weight w_k becomes w_k / n_k on each class-k example
-    return class_row[labels - 1] / counts[labels - 1]
-
-
 # Step functions share one signature:
-#   step(config, adv_losses, labels, risks, counts)
-#     -> (batch loss, per-example loss weights, class weight row, closed_form_valid)
+#   step(config, adv_losses, risks, counts)
+#     -> (batch loss, routing row, history row, closed_form_valid)
 # `risks` and the class counts `counts` (a class is present when its count is
-# positive) come from class_avg_loss; `closed_form_valid` is None but for codat.
+# positive) come from class_avg_loss.  The routing row holds the class weights
+# that drive the update (None: the example mean); the history row is the one
+# the history records.  `closed_form_valid` is None but for codat.
 
 
-def _codat_step(config, adv_losses, labels, risks, counts):
+def _codat_step(config, adv_losses, risks, counts):
     # centred on uniform over the present classes, the ball gives absent ones weight 0
     present = int(np.count_nonzero(counts))
     if present == 1:
         # a single-class batch has no ball and degenerates to that class
-        return _worst_class_step(config, adv_losses, labels, risks, counts)
+        return _worst_class_step(config, adv_losses, risks, counts)
     # a batch missing classes shrinks the Dirac bound; clamp just below it
     eta = min(config.eta, (present - 1) * (1.0 - 1e-9))
     center = ProbabilityDistribution(np.where(counts > 0, 1.0 / present, 0.0))
@@ -210,23 +208,21 @@ def _codat_step(config, adv_losses, labels, risks, counts):
     # gradient of the deterministic equivalent, the batch loss (they coincide
     # when the closed form is valid, and only the gradient drives the update)
     form = solution.closed_form
-    example_weights = _spread_over_examples(form.gradient, labels, counts)
-    return form.objective, example_weights, solution.distribution.weights, form.valid
+    return form.objective, form.gradient, solution.distribution.weights, form.valid
 
 
-def _standard_step(config, adv_losses, labels, risks, counts):
-    size = adv_losses.size
-    return float(np.mean(adv_losses)), np.full(size, 1.0 / size), counts / size, None
+def _standard_step(config, adv_losses, risks, counts):
+    return float(np.mean(adv_losses)), None, counts / adv_losses.size, None
 
 
-def _weighted_step(config, adv_losses, labels, risks, counts):
+def _weighted_step(config, adv_losses, risks, counts):
     masked = np.where(counts > 0, config.fixed_weights.weights, 0.0)
     mass = float(np.sum(masked))
     if mass <= 0.0:
         raise ValueError("fixed weights place no mass on the classes in this batch")
     class_row = masked / mass
     loss = float(np.dot(class_row, risks.risks))
-    return loss, _spread_over_examples(class_row, labels, counts), class_row, None
+    return loss, class_row, class_row, None
 
 
 def _riskiest_class(risks: ClassRiskVector, counts: np.ndarray) -> int:
@@ -234,12 +230,12 @@ def _riskiest_class(risks: ClassRiskVector, counts: np.ndarray) -> int:
     return int(np.argmax(np.where(counts > 0, risks.risks, -np.inf)))
 
 
-def _worst_class_step(config, adv_losses, labels, risks, counts):
+def _worst_class_step(config, adv_losses, risks, counts):
     worst = _riskiest_class(risks, counts)
     class_row = np.zeros(counts.size)
     class_row[worst] = 1.0
     loss = float(risks.risks[worst])
-    return loss, _spread_over_examples(class_row, labels, counts), class_row, None
+    return loss, class_row, class_row, None
 
 
 STEP_FNS = {
@@ -348,8 +344,11 @@ def train(config: TrainConfig, train_data: Dataset, eval_data: Dataset | None = 
                     f"training diverged: non-finite losses or squares at epoch {epoch} batch {idx}"
                 )
             risks, counts, sums = class_avg_loss(adv_losses, batch.labels, num_classes)
-            loss, example_weights, class_row, valid = step_fn(
-                config, adv_losses, batch.labels, risks, counts
+            loss, routing, class_row, valid = step_fn(config, adv_losses, risks, counts)
+            # the one spread: class weight w_k becomes w_k / n_k on each class-k example
+            k = batch.labels - 1
+            example_weights = (
+                np.full(k.size, 1.0 / k.size) if routing is None else routing[k] / counts[k]
             )
             grads, _ = backward(model, adv_features, batch.labels, example_weights)
             sgd_step(model, grads, state)

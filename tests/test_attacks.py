@@ -42,6 +42,17 @@ def test_config_rejects_zero_steps():
         AttackConfig(epsilon=0.03, step_size=0.01, steps=0)
 
 
+@pytest.mark.parametrize("steps", [2.5, True, np.float64(3.0), "3"])
+def test_config_rejects_steps_that_are_not_integers(steps):
+    with pytest.raises(ValueError, match="steps: expected an integer"):
+        AttackConfig(epsilon=0.03, step_size=0.01, steps=steps)
+
+
+def test_config_stores_numpy_integer_steps_as_int():
+    cfg = AttackConfig(epsilon=0.03, step_size=0.01, steps=np.int64(3))
+    assert type(cfg.steps) is int and type(cfg.as_dict()["steps"]) is int
+
+
 @pytest.mark.parametrize(
     "epsilon, step_size", [(0.0, float("nan")), (0.0, float("inf")), (0.03, float("nan"))]
 )

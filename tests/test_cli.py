@@ -450,6 +450,20 @@ class TestAttackCommand:
         assert summary["adversarial_accuracy"] <= summary["natural_accuracy"]
         assert (tmp_path / "adversarial.csv").exists()
 
+    def test_accuracies_agree_with_evaluate(self, trained_run, tmp_path):
+        # one checkpoint, split and seed: `attack` counts the predictions `evaluate` does
+        shared = ["--checkpoint", str(trained_run / "checkpoint.json"), "--preset", "toy3",
+                  "--seed", "0", "--test-per-class", "30", "--eval-attack-steps", "5"]
+        assert main(["attack", *shared, "--out", str(tmp_path / "attack")]) == 0
+        for mode in ("none", "pgd"):
+            assert main(["evaluate", *shared, "--attack", mode, "--out", str(tmp_path)]) == 0
+        summary = json.loads((tmp_path / "attack" / "attack_summary.json").read_text())
+        natural = json.loads((tmp_path / "eval_natural.json").read_text())
+        adversarial = json.loads((tmp_path / "eval_adversarial.json").read_text())
+        assert summary["natural_accuracy"] == natural["average_accuracy"]
+        assert summary["adversarial_accuracy"] == adversarial["average_accuracy"]
+        assert summary["adversarial_accuracy"] < summary["natural_accuracy"]
+
     def test_diverged_model_exits_1_and_writes_nothing(self, tmp_path, capsys):
         # finite weights whose logits overflow: the losses would be NaN
         model = init_model([2, 8, 3], seed=0)

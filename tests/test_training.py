@@ -63,7 +63,7 @@ def run_step(method, losses, labels, num_classes, **overrides):
     """One STEP_FNS call with the batch statistics the training loop passes."""
     risks, counts, _ = class_avg_loss(losses, labels, num_classes)
     config = make_config(method, **overrides)
-    return STEP_FNS[method](config, losses, labels, risks, counts)
+    return STEP_FNS[method](config, losses, risks, counts)
 
 
 class TestTrainConfig:
@@ -103,6 +103,34 @@ class TestTrainConfig:
     def test_rejects_momentum_one(self):
         with pytest.raises(ValueError, match="momentum"):
             make_config("standard_at", momentum=1.0)
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("epochs", 1.5),
+            ("epochs", True),
+            ("batch_size", 8.5),
+            ("batch_size", np.float64(8.0)),
+            ("hidden_dims", (2.7,)),
+            ("hidden_dims", (True,)),
+            ("lr_milestones", (45.5,)),
+        ],
+    )
+    def test_rejects_integer_settings_that_are_not_integers(self, name, value):
+        with pytest.raises(ValueError, match=f"{name}: expected an integer"):
+            make_config("standard_at", **{name: value})
+
+    def test_numpy_integer_settings_become_ints(self):
+        config = make_config(
+            "standard_at",
+            epochs=np.int64(2),
+            batch_size=np.int32(8),
+            hidden_dims=(np.int64(4),),
+            lr_milestones=(np.int16(1),),
+        )
+        settings = (config.epochs, config.batch_size, *config.hidden_dims, *config.lr_milestones)
+        assert [type(v) for v in settings] == [int] * 4
+        assert len(config_fingerprint(config)) == 64  # JSON takes no numpy integers
 
 
 class TestClassAvgLoss:
@@ -154,12 +182,12 @@ class TestCodatBatchLoss:
         assert loss == pytest.approx(7.0 / 3.0, abs=1e-12)
 
     def test_single_class_batch_returns_its_risk(self):
-        loss, weights, row, valid = run_step(
+        loss, routing, row, valid = run_step(
             "codat", np.array([2.5, 3.5]), np.array([2, 2]), 3, eta=0.7
         )
         assert loss == 3.0
         assert np.array_equal(row, [0.0, 1.0, 0.0])
-        assert np.array_equal(weights, [0.5, 0.5])
+        assert np.array_equal(routing, [0.0, 1.0, 0.0])
         assert valid is None
 
     def test_hand_value_three_classes(self):
@@ -193,27 +221,27 @@ class TestStepFunctions:
     def test_standard_step_is_uniform_over_examples(self):
         losses = np.array([1.0, 2.0, 3.0, 6.0])
         labels = np.array([1, 1, 2, 3])
-        loss, weights, row, valid = run_step("standard_at", losses, labels, 3)
+        loss, routing, row, valid = run_step("standard_at", losses, labels, 3)
         assert loss == 3.0
-        assert np.array_equal(weights, np.full(4, 0.25))
+        assert routing is None  # the loop's example mean, np.full(4, 0.25)
         assert np.array_equal(row, [0.5, 0.25, 0.25])
         assert valid is None
 
     def test_worst_class_step_targets_highest_risk(self):
         losses = np.array([1.0, 1.0, 5.0, 5.0, 2.0])
         labels = np.array([1, 1, 2, 2, 3])
-        loss, weights, row, _ = run_step("worst_class", losses, labels, 3)
+        loss, routing, row, _ = run_step("worst_class", losses, labels, 3)
         assert loss == 5.0
         assert np.array_equal(row, [0.0, 1.0, 0.0])
-        assert np.array_equal(weights, [0.0, 0.0, 0.5, 0.5, 0.0])
+        assert np.array_equal(routing, [0.0, 1.0, 0.0])
 
     def test_worst_class_tie_picks_lowest_index(self):
         losses = np.array([4.0, 4.0, 1.0])
         labels = np.array([1, 2, 3])
-        loss, weights, row, _ = run_step("worst_class", losses, labels, 3)
+        loss, routing, row, _ = run_step("worst_class", losses, labels, 3)
         assert loss == 4.0
         assert np.array_equal(row, [1.0, 0.0, 0.0])
-        assert np.array_equal(weights, [1.0, 0.0, 0.0])
+        assert np.array_equal(routing, [1.0, 0.0, 0.0])
 
     def test_worst_class_ignores_absent_classes(self):
         losses = np.array([0.0, 0.0])
@@ -226,9 +254,9 @@ class TestStepFunctions:
         dirac = ProbabilityDistribution(np.array([1.0, 0.0, 0.0]))
         losses = np.array([2.0, 7.0, 9.0])
         labels = np.array([1, 2, 3])
-        loss, weights, row, _ = run_step("weighted", losses, labels, 3, fixed_weights=dirac)
+        loss, routing, row, _ = run_step("weighted", losses, labels, 3, fixed_weights=dirac)
         assert loss == 2.0
-        assert np.array_equal(weights, [1.0, 0.0, 0.0])
+        assert np.array_equal(routing, [1.0, 0.0, 0.0])
         assert np.array_equal(row, [1.0, 0.0, 0.0])
 
     def test_weighted_step_rejects_zero_mass_batches(self):
@@ -244,13 +272,12 @@ class TestStepFunctions:
             if len(np.unique(labels)) < 3:
                 continue
             losses = rng.uniform(0.2, 3.0, size=size)
-            loss, weights, row, valid = run_step("codat", losses, labels, 3, eta=0.5)
+            loss, routing, row, valid = run_step("codat", losses, labels, 3, eta=0.5)
             risks, _, _ = class_avg_loss(losses, labels, 3)
             assert valid is True
             assert np.dot(row, risks.risks) == pytest.approx(loss, abs=1e-8)
             assert np.sum(row) == pytest.approx(1.0, abs=1e-12)
-            counts = np.bincount(labels - 1, minlength=3)
-            assert np.array_equal(weights, row[labels - 1] / counts[labels - 1])
+            assert np.array_equal(routing, row)
 
     def test_worst_class_matches_dro_at_radius_limit(self):
         rng = np.random.default_rng(29)
@@ -517,6 +544,26 @@ class TestTrainingLoop:
         for record in history.records:
             assert min(record.class_weights) >= 0.0
             assert sum(record.class_weights) == pytest.approx(1.0, abs=1e-12)
+
+    def test_standard_weights_on_a_28_row_batch_are_the_example_mean(self, monkeypatch):
+        # toy3's 1500 rows in batches of 64 end on a 28-row batch; routing the
+        # class row counts / 28 would spread (c / 28) / c, not 1 / 28, for these c
+        for c in (9, 18, 19, 25):
+            assert (c / 28) / c != 1 / 28
+        from codat import training
+
+        seen = []
+        real_backward = training.backward
+
+        def recording(model, features, labels, loss_weights=None):
+            seen.append(loss_weights)
+            return real_backward(model, features, labels, loss_weights)
+
+        monkeypatch.setattr(training, "backward", recording)
+        config = make_config("standard_at", epochs=1, batch_size=64, attack=NO_ATTACK)
+        train(config, gen_gaussian_mixture(toy3_spec()))
+        assert [weights.size for weights in seen] == [64] * 23 + [28]
+        assert np.array_equal(seen[-1], np.full(28, 1 / 28))
 
     def test_dispatch_validates_method_field(self):
         assert sorted(STEP_FNS) == sorted(VALID_METHODS)
