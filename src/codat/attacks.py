@@ -40,6 +40,8 @@ class AttackConfig:
         object.__setattr__(self, "steps", check_int("steps", self.steps))
         if self.steps < 1:
             raise ValueError(f"need at least one step, got {self.steps}")
+        if type(self.random_start) is not bool:
+            raise ValueError(f"random_start must be a bool, got {self.random_start!r}")
         if self.epsilon > 0.0:
             if self.step_size <= 0.0:
                 raise ValueError(f"step size must be positive, got {self.step_size}")

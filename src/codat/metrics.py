@@ -14,7 +14,7 @@ import csv
 import json
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -34,18 +34,27 @@ _REPORT_KEYS = ("per_class_accuracy", "average_accuracy", "worst_class_accuracy"
 
 @dataclass(frozen=True)
 class EvalReport:
-    """A confusion matrix and the attack it was measured under.
+    """A confusion matrix and the attack it was measured under (None: natural).
 
     Row i counts the class-(i+1) examples by predicted class.  The accuracies,
     fractions in [0, 1], derive from it: per class the diagonal over the row
     sums, on average the trace over the total, at worst their minimum, and
-    `class_variance` of the per-class row.
+    `class_variance` of the per-class row.  `attack` is the attack's tag.
     """
 
     confusion: np.ndarray
-    attack: str
+    attack_config: AttackConfig | None
     seed: int
-    attack_config: dict | None = field(default=None)
+
+    @property
+    def attack(self) -> str:
+        cfg = self.attack_config
+        if cfg is None:
+            return "none"
+        return (
+            f"pgd-{cfg.steps} eps={cfg.epsilon:g} step={cfg.step_size:g} "
+            f"random_start={str(cfg.random_start).lower()}"
+        )
 
     @property
     def per_class_accuracy(self) -> np.ndarray:
@@ -74,7 +83,7 @@ class EvalReport:
             "confusion": self.confusion.tolist(),
             "attack": self.attack,
             "seed": self.seed,
-            "attack_config": self.attack_config,
+            "attack_config": None if self.attack_config is None else self.attack_config.as_dict(),
         }
 
     @staticmethod
@@ -82,15 +91,16 @@ class EvalReport:
         check_artifact(payload, "evaluation report", REPORT_FORMAT, REPORT_VERSION, _REPORT_KEYS)
 
         def read(key, convert, holds=lambda value: True):
-            # a field must convert, and the converted value must hold its check
+            # a field must convert, and the converted value must hold its check;
+            # only attack_config may be absent, and then reads None
             try:
-                value = convert(payload[key])
+                value = convert(payload.get(key))
                 if holds(value):
                     return value
             except (TypeError, ValueError, OverflowError):
                 pass
             raise ValueError(
-                f"evaluation report field {key} is malformed: {json.dumps(payload[key])}"
+                f"evaluation report field {key} is malformed: {json.dumps(payload.get(key))}"
             )
 
         # integer counts for K >= 2 classes, each with at least one example
@@ -101,11 +111,15 @@ class EvalReport:
             and np.min(c.sum(axis=1)) > 0 and c.tolist() == payload["confusion"],
         )
         # each stored accuracy must be the one its matrix gives
-        derived = EvalReport(confusion, "", 0).to_dict()
+        derived = EvalReport(confusion, None, 0).to_dict()
         for key in _REPORT_KEYS[:4]:
             read(key, lambda v: v, lambda v: v == derived[key])
         seed = read("seed", lambda v: v, lambda v: type(v) is int)
-        return EvalReport(confusion, str(payload["attack"]), seed, payload.get("attack_config"))
+        attack_config = read("attack_config", lambda v: None if v is None else AttackConfig(**v))
+        report = EvalReport(confusion, attack_config, seed)
+        # the stored tag must be the one its attack config gives
+        read("attack", lambda v: v, lambda v: v == report.attack)
+        return report
 
     @staticmethod
     def load(path) -> "EvalReport":
@@ -116,15 +130,6 @@ class EvalReport:
 def artifact_json(payload) -> str:
     """The text of a JSON artifact: sorted keys, two-space indent, final newline."""
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
-
-
-def attack_tag(cfg: AttackConfig | None) -> str:
-    if cfg is None:
-        return "none"
-    return (
-        f"pgd-{cfg.steps} eps={cfg.epsilon:g} step={cfg.step_size:g} "
-        f"random_start={str(cfg.random_start).lower()}"
-    )
 
 
 def class_variance(per_class_accuracy) -> float:
@@ -177,37 +182,27 @@ def evaluate(
     confusion = np.bincount(np.concatenate(cells), minlength=num_classes * num_classes).reshape(
         num_classes, num_classes
     )
-    attack_config = None if attack is None else attack.as_dict()
-    return EvalReport(confusion, attack_tag(attack), seed, attack_config)
+    return EvalReport(confusion, attack, seed)
 
 
-@dataclass(frozen=True)
-class FecInputs:
-    """Worst-class and average accuracies for a method and its baseline.
+def fec(a_wc: float, a_wc_baseline: float, a_avg: float, a_avg_baseline: float) -> float:
+    """exp(worst-class improvement rate - average-accuracy decline rate).
 
-    All four values must share one scale (all percent or all fractions);
-    the coefficient is built from relative rates, so the scale cancels.
+    `a_wc` and `a_avg` are a method's worst-class and average accuracies, the
+    `_baseline` pair its baseline's.  All four must share one scale (all
+    percent or all fractions); the rates are relative, so the scale cancels.
     """
-
-    a_wc: float
-    a_wc_baseline: float
-    a_avg: float
-    a_avg_baseline: float
-
-    def __post_init__(self):
-        if self.a_wc_baseline <= 0.0 or self.a_avg_baseline <= 0.0:
-            raise ValueError(
-                f"baseline accuracies must be positive, got worst={self.a_wc_baseline} "
-                f"average={self.a_avg_baseline}"
-            )
-        if self.a_wc < 0.0 or self.a_avg < 0.0:
-            raise ValueError("accuracies cannot be negative")
-
-
-def fec(inputs: FecInputs) -> float:
-    """exp(worst-class improvement rate - average-accuracy decline rate)."""
-    worst_rate = (inputs.a_wc - inputs.a_wc_baseline) / inputs.a_wc_baseline
-    decline_rate = (inputs.a_avg_baseline - inputs.a_avg) / inputs.a_avg_baseline
+    if not (0.0 < a_wc_baseline < math.inf and 0.0 < a_avg_baseline < math.inf):
+        raise ValueError(
+            f"baseline accuracies must be positive and finite, got worst={a_wc_baseline} "
+            f"average={a_avg_baseline}"
+        )
+    if not (0.0 <= a_wc < math.inf and 0.0 <= a_avg < math.inf):
+        raise ValueError(
+            f"accuracies must be nonnegative and finite, got worst={a_wc} average={a_avg}"
+        )
+    worst_rate = (a_wc - a_wc_baseline) / a_wc_baseline
+    decline_rate = (a_avg_baseline - a_avg) / a_avg_baseline
     return math.exp(worst_rate - decline_rate)
 
 
@@ -224,6 +219,11 @@ def fec_rows(named_accuracies: list[tuple[str, float, float]], baseline: str) ->
 
     The baseline row gets coefficient 1.0 exactly; row order is preserved.
     """
+    for name, avg, wst in named_accuracies:
+        if not (0.0 <= avg < math.inf and 0.0 <= wst < math.inf):
+            raise ValueError(
+                f"method {name!r} needs finite accuracies >= 0, got avg={avg} wst={wst}"
+            )
     names = [name for name, _, _ in named_accuracies]
     repeated = sorted({name for name in names if names.count(name) > 1})
     if repeated:
@@ -237,7 +237,7 @@ def fec_rows(named_accuracies: list[tuple[str, float, float]], baseline: str) ->
         if name == baseline:
             value = 1.0
         else:
-            value = fec(FecInputs(wst, base_wst, avg, base_avg))
+            value = fec(wst, base_wst, avg, base_avg)
         rows.append(FecRow(name, avg, wst, value))
     return rows
 
@@ -252,10 +252,7 @@ def fec_table_to_csv(rows: list[FecRow], path) -> None:
 
 
 def fec_table_to_json(rows: list[FecRow], path) -> None:
-    payload = [
-        {"method": row.method, "avg": row.avg, "wst": row.wst, "fec": row.fec} for row in rows
-    ]
-    Path(path).write_text(artifact_json(payload), encoding="utf-8")
+    Path(path).write_text(artifact_json([asdict(row) for row in rows]), encoding="utf-8")
 
 
 def confusion_to_csv(report: EvalReport, path) -> None:

@@ -4,7 +4,8 @@ Dense layers with a rectifier between them and identity at the output,
 softmax cross-entropy, gradients with respect to both parameters and
 inputs (`backward`, for the training update) or to the inputs alone
 (`backward` without loss weights, for the attack loop), SGD with momentum
-and weight decay, and a piecewise-constant learning-rate schedule.
+and weight decay on caller-held momentum buffers (`sgd_step`), and a
+piecewise-constant learning-rate schedule.
 Everything is plain numpy in float64, array in and array out: `forward`
 takes a 2-d feature array and `backward` that and one integer label in
 [1, K] per row, as `check_labels` requires of every label reader.  They
@@ -66,24 +67,6 @@ class ModelParams:
         return self.layers[0][0].shape[1]
 
 
-@dataclass
-class OptimizerState:
-    """SGD state: one momentum buffer per parameter tensor."""
-
-    buffers: list[tuple[np.ndarray, np.ndarray]]
-    learning_rate: float
-    momentum: float
-    weight_decay: float
-
-    def __post_init__(self):
-        if not 0.0 < self.learning_rate < np.inf:
-            raise ValueError(f"learning rate must be positive and finite, got {self.learning_rate}")
-        if not 0.0 <= self.momentum < 1.0:
-            raise ValueError(f"momentum must lie in [0, 1), got {self.momentum}")
-        if not 0.0 <= self.weight_decay < np.inf:
-            raise ValueError(f"weight decay must be nonnegative and finite, got {self.weight_decay}")
-
-
 def init_model(layer_dims: list[int], seed: int) -> ModelParams:
     """Scaled-uniform fan-in initialization: U(-1/sqrt(fan_in), 1/sqrt(fan_in))."""
     if len(layer_dims) < 2:
@@ -96,15 +79,6 @@ def init_model(layer_dims: list[int], seed: int) -> ModelParams:
         bias = rng.uniform(-bound, bound, size=fan_out)
         layers.append((weight, bias))
     return ModelParams(layers)
-
-
-def init_optimizer(
-    model: ModelParams, learning_rate: float, momentum: float = 0.9, weight_decay: float = 2e-4
-) -> OptimizerState:
-    buffers = [
-        (np.zeros_like(weight), np.zeros_like(bias)) for weight, bias in model.layers
-    ]
-    return OptimizerState(buffers, learning_rate, momentum, weight_decay)
 
 
 def _walk(model: ModelParams, features: np.ndarray, keep_inputs: bool):
@@ -207,23 +181,28 @@ def backward(
 
 
 def sgd_step(
-    model: ModelParams, grads: list[tuple[np.ndarray, np.ndarray]], state: OptimizerState
+    model: ModelParams,
+    grads: list[tuple[np.ndarray, np.ndarray]],
+    buffers: list[tuple[np.ndarray, np.ndarray]],
+    learning_rate: float,
+    momentum: float,
+    weight_decay: float,
 ) -> None:
     """In-place SGD update: buffer <- m*buffer + grad + wd*param; param <- param - lr*buffer.
 
-    Updates `model`'s parameters and `state`'s buffers in place and returns None.
+    `buffers` holds one momentum buffer per parameter, shaped like `model.layers`
+    (zeros before the first step).  Updates the parameters and the buffers in
+    place and returns None; the caller checks the three hyperparameters.
     """
     if len(grads) != len(model.layers):
         raise ValueError(f"got {len(grads)} gradient pairs for {len(model.layers)} layers")
-    for idx, ((weight, bias), (gw, gb), buffers) in enumerate(
-        zip(model.layers, grads, state.buffers)
-    ):
+    for idx, ((weight, bias), (gw, gb), pair) in enumerate(zip(model.layers, grads, buffers)):
         if gw.shape != weight.shape or gb.shape != bias.shape:
             raise ValueError(f"layer {idx}: gradient shapes do not match parameters")
-        for param, grad, buffer in zip((weight, bias), (gw, gb), buffers):
-            buffer *= state.momentum
-            buffer += grad + state.weight_decay * param
-            param -= state.learning_rate * buffer
+        for param, grad, buffer in zip((weight, bias), (gw, gb), pair):
+            buffer *= momentum
+            buffer += grad + weight_decay * param
+            param -= learning_rate * buffer
 
 
 def lr_at_epoch(base_lr: float, epoch: int, milestones: list[int], factor: float) -> float:

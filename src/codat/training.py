@@ -40,7 +40,6 @@ from .nn_engine import (
     cross_entropy_per_example,
     forward,
     init_model,
-    init_optimizer,
     lr_at_epoch,
     params_digest,
     sgd_step,
@@ -76,12 +75,14 @@ class TrainConfig:
     def __post_init__(self):
         if self.method not in VALID_METHODS:
             raise ValueError(f"unknown method {self.method!r}; expected one of {VALID_METHODS}")
-        for name in ("epochs", "batch_size"):
+        for name in ("epochs", "batch_size", "seed"):
             object.__setattr__(self, name, check_int(name, getattr(self, name)))
         for name in ("lr_milestones", "hidden_dims"):
             object.__setattr__(self, name, tuple(check_int(name, v) for v in getattr(self, name)))
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch_size must be at least 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if not 0.0 < self.base_lr < np.inf:
             raise ValueError(f"base learning rate must be positive and finite, got {self.base_lr}")
         if not 0.0 <= self.momentum < 1.0:
@@ -322,13 +323,13 @@ def train(config: TrainConfig, train_data: Dataset, eval_data: Dataset | None = 
     model = init_model(
         [train_data.features.shape[1], *config.hidden_dims, num_classes], config.seed
     )
-    state = init_optimizer(model, config.base_lr, config.momentum, config.weight_decay)
+    buffers = [(np.zeros_like(weight), np.zeros_like(bias)) for weight, bias in model.layers]
     history = TrainHistory(_history_header(config, train_data))
     best_snapshot = None
     best_worst = -1.0
     for epoch in range(config.epochs):
         started = time.perf_counter()
-        state.learning_rate = lr_at_epoch(
+        learning_rate = lr_at_epoch(
             config.base_lr, epoch, list(config.lr_milestones), config.lr_factor
         )
         rows = []
@@ -351,7 +352,7 @@ def train(config: TrainConfig, train_data: Dataset, eval_data: Dataset | None = 
                 np.full(k.size, 1.0 / k.size) if routing is None else routing[k] / counts[k]
             )
             grads, _ = backward(model, adv_features, batch.labels, example_weights)
-            sgd_step(model, grads, state)
+            sgd_step(model, grads, buffers, learning_rate, config.momentum, config.weight_decay)
             hit = _riskiest_class(risks, counts) == int(np.argmax(class_row))
             gap = None if valid is False else abs(float(np.dot(class_row, risks.risks)) - loss)
             rows.append((loss, float(nat_losses.mean()), sums, counts, class_row, hit, valid, gap))
@@ -365,7 +366,7 @@ def train(config: TrainConfig, train_data: Dataset, eval_data: Dataset | None = 
             # an absent class sums to 0.0 and so reads risk 0.0
             class_risks=(risk_sums / np.maximum(risk_counts, 1)).tolist(),
             class_weights=(_in_order_sum(class_rows) / len(rows)).tolist(),
-            learning_rate=state.learning_rate,
+            learning_rate=learning_rate,
             wall_time=time.perf_counter() - started,
             params_digest=params_digest(model),
             weight_risk_agreement=sum(hits) / len(rows),

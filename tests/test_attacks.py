@@ -48,6 +48,12 @@ def test_config_rejects_steps_that_are_not_integers(steps):
         AttackConfig(epsilon=0.03, step_size=0.01, steps=steps)
 
 
+@pytest.mark.parametrize("random_start", ["no", 1, None])
+def test_config_rejects_random_start_that_is_not_a_bool(random_start):
+    with pytest.raises(ValueError, match="random_start must be a bool"):
+        AttackConfig(epsilon=0.03, step_size=0.01, steps=3, random_start=random_start)
+
+
 def test_config_stores_numpy_integer_steps_as_int():
     cfg = AttackConfig(epsilon=0.03, step_size=0.01, steps=np.int64(3))
     assert type(cfg.steps) is int and type(cfg.as_dict()["steps"]) is int

@@ -46,6 +46,9 @@ SMALL = [
     "--eval-attack-steps", "5",
 ]
 
+# a report's attack record: the config as stored and the tag it gives
+ATTACK = {"epsilon": 0.03, "step_size": 0.0075, "steps": 20, "random_start": True}
+ATTACK_TAG = "pgd-20 eps=0.03 step=0.0075 random_start=true"
 
 RUN_ARTIFACTS = (
     "config.txt",
@@ -222,6 +225,14 @@ class TestTrainCommand:
         monkeypatch.setattr("codat.training.pgd_attack", no_attack)
         assert run_train(tmp_path, "--method", "codat", *flags) == 2
         assert "finite" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("spread", ["nan", "inf"])
+    def test_non_finite_spread_is_named(self, tmp_path, capsys, spread):
+        assert run_train(tmp_path, "--spread", spread) == 2
+        assert capsys.readouterr().err == (
+            f"error: spread must be positive and finite, got {spread}\n"
+        )
         assert list(tmp_path.iterdir()) == []
 
     def test_history_is_reloaded(self, tmp_path, monkeypatch, capsys):
@@ -502,12 +513,39 @@ class TestFecCommand:
         for run in ("first", "second"):
             (tmp_path / run).mkdir()
             paths.append(tmp_path / run / "eval_adversarial.json")
-            report = EvalReport(np.array([[1, 1], [0, 2]]), "pgd", 0).to_dict()
+            report = EvalReport(np.array([[1, 1], [0, 2]]), None, 0).to_dict()
             paths[-1].write_text(json.dumps(report), encoding="utf-8")
         rc = main(["fec", "--reports", *map(str, paths), "--baseline", "eval_adversarial",
                    "--out", str(tmp_path / "fec")])
         assert rc == 2
         assert "duplicate method names ['eval_adversarial']" in capsys.readouterr().err
+        assert not (tmp_path / "fec").exists()
+
+    @pytest.mark.parametrize(
+        "rows, bad, shown",
+        [
+            (["a,nan,0.5", "b,0.5,0.5"], "a", "avg=nan wst=0.5"),
+            (["a,0.6,inf", "b,0.5,0.5"], "a", "avg=0.6 wst=inf"),
+            (["b,nan,0.5"], "b", "avg=nan wst=0.5"),
+        ],
+        ids=["nan_row", "infinite_row", "nan_baseline_alone"],
+    )
+    def test_non_finite_row_rejected(self, tmp_path, capsys, rows, bad, shown):
+        flags = [flag for row in rows for flag in ("--row", row)]
+        rc = main(["fec", *flags, "--baseline", "b", "--out", str(tmp_path / "fec")])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: method {bad!r} needs finite accuracies >= 0, got {shown}\n"
+        )
+        assert not (tmp_path / "fec").exists()
+
+    def test_non_finite_csv_cell_rejected(self, tmp_path, capsys):
+        csv_path = tmp_path / "sweep.csv"
+        csv_path.write_text("eta,avg,wst\n0,0.5,0.4\n0.3,0.6,nan\n", encoding="utf-8")
+        rc = main(["fec", "--csv", str(csv_path), "--baseline", "eta0",
+                   "--out", str(tmp_path / "fec")])
+        assert rc == 2
+        assert "method 'eta0.3' needs finite accuracies" in capsys.readouterr().err
         assert not (tmp_path / "fec").exists()
 
     def test_missing_baseline_rejected(self, tmp_path, capsys):
@@ -565,6 +603,12 @@ class TestFecCommand:
             ("seed", 1.5, "1.5"),
             ("seed", True, "true"),
             ("seed", "7", '"7"'),
+            ("attack", ATTACK_TAG, json.dumps(ATTACK_TAG)),
+            ("attack_config", {**ATTACK, "norm": "linf"}, json.dumps({**ATTACK, "norm": "linf"})),
+            ("attack_config", {**ATTACK, "steps": 2.5}, json.dumps({**ATTACK, "steps": 2.5})),
+            ("attack_config", {**ATTACK, "epsilon": 2.0}, json.dumps({**ATTACK, "epsilon": 2.0})),
+            ("attack_config", {**ATTACK, "random_start": 1},
+             json.dumps({**ATTACK, "random_start": 1})),
         ],
         ids=[
             "null_accuracy", "list_seed", "null_per_class", "per_class_above_one",
@@ -573,14 +617,15 @@ class TestFecCommand:
             "negative_cell", "contradicted_average", "swapped_per_class",
             "contradicted_worst", "contradicted_variance", "empty_class_row",
             "fractional_cell", "overflowing_cell", "fractional_seed", "bool_seed",
-            "string_seed",
+            "string_seed", "tag_against_null_config", "unknown_attack_key",
+            "fractional_steps", "epsilon_above_one", "integer_random_start",
         ],
     )
     def test_report_with_malformed_field_is_clean_error(
         self, tmp_path, capsys, key, value, shown
     ):
         # accuracies [0.5, 1.0], 0.75, 0.5 and variance 0.0625
-        report = EvalReport(np.array([[1, 1], [0, 2]]), "none", 0).to_dict()
+        report = EvalReport(np.array([[1, 1], [0, 2]]), None, 0).to_dict()
         report[key] = value
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(report), encoding="utf-8")

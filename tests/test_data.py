@@ -17,7 +17,7 @@ from codat.data import (
     save_csv,
     toy3_spec,
 )
-from codat.nn_engine import backward, cross_entropy_per_example, forward, init_model, init_optimizer, sgd_step
+from codat.nn_engine import backward, cross_entropy_per_example, forward, init_model, sgd_step
 from codat.metrics import evaluate
 from codat.training import TrainConfig, train
 
@@ -73,6 +73,12 @@ def test_mixture_rejects_nonpositive_spread():
         MixtureSpec(2, 2, np.array([[0.0, 0.0], [1.0, 1.0]]), 0.0, 10, 0)
 
 
+@pytest.mark.parametrize("spread", [float("nan"), float("inf")])
+def test_mixture_rejects_non_finite_spread(spread):
+    with pytest.raises(ValueError, match="spread must be positive and finite"):
+        MixtureSpec(2, 2, np.array([[0.0, 0.0], [1.0, 1.0]]), spread, 10, 0)
+
+
 def test_mixture_class_counts_match_spec():
     ds = gen_gaussian_mixture(toy3_spec(samples_per_class=50, seed=1))
     np.testing.assert_array_equal(ds.class_counts, [50, 50, 50])
@@ -108,11 +114,11 @@ def test_toy3_preset_makes_one_class_pair_hard_for_a_linear_model():
     # class means must force worst-class accuracy below average accuracy
     train = gen_gaussian_mixture(toy3_spec(samples_per_class=500, seed=0))
     model = init_model([2, 3], seed=0)
-    state = init_optimizer(model, learning_rate=0.1)
+    buffers = [(np.zeros_like(w), np.zeros_like(b)) for w, b in model.layers]
     for epoch in range(20):
         for batch in batch_iter(train, 64, seed=0, epoch=epoch):
             grads, _ = backward(model, batch.features, batch.labels, np.full(batch.size, 1.0 / batch.size))
-            sgd_step(model, grads, state)
+            sgd_step(model, grads, buffers, 0.1, 0.9, 2e-4)
     predictions = np.argmax(forward(model, next(batch_iter(train, train.size, 0, shuffle=False)).features), axis=1) + 1
     per_class = [
         float(np.mean(predictions[train.labels == cls] == cls)) for cls in (1, 2, 3)

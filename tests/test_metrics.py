@@ -8,8 +8,6 @@ from codat.attacks import AttackConfig
 from codat.data import Dataset, LabeledBatch, gen_gaussian_mixture, toy3_spec, batch_iter
 from codat.metrics import (
     EvalReport,
-    FecInputs,
-    attack_tag,
     class_variance,
     confusion_to_csv,
     evaluate,
@@ -23,7 +21,6 @@ from codat.nn_engine import (
     backward,
     forward,
     init_model,
-    init_optimizer,
     sgd_step,
 )
 
@@ -128,11 +125,11 @@ def test_evaluate_rejects_predictions_beyond_the_data_classes():
 
 def lightly_trained_model(data, epochs=5, seed=0):
     model = init_model([2, 16, 3], seed=seed)
-    state = init_optimizer(model, learning_rate=0.1)
+    buffers = [(np.zeros_like(w), np.zeros_like(b)) for w, b in model.layers]
     for epoch in range(epochs):
         for batch in batch_iter(data, 64, seed=seed, epoch=epoch):
             grads, _ = backward(model, batch.features, batch.labels, np.full(batch.size, 1.0 / batch.size))
-            sgd_step(model, grads, state)
+            sgd_step(model, grads, buffers, 0.1, 0.9, 2e-4)
     return model
 
 
@@ -176,6 +173,16 @@ def test_report_round_trips_through_json(tmp_path):
     assert loaded.to_dict() == report.to_dict()
 
 
+def test_attacked_report_round_trips_through_its_dict():
+    model, data = perfect_two_class_setup()
+    attack = AttackConfig(epsilon=0.05, step_size=0.02, steps=3, random_start=False)
+    report = evaluate(model, data, attack=attack)
+    loaded = EvalReport.from_dict(json.loads(json.dumps(report.to_dict())))
+    assert loaded.to_dict() == report.to_dict()
+    assert loaded.attack_config == attack
+    assert loaded.attack == "pgd-3 eps=0.05 step=0.02 random_start=false"
+
+
 def test_report_load_rejects_foreign_payload(tmp_path):
     path = tmp_path / "other.json"
     path.write_text('{"format": "unrelated"}')
@@ -184,8 +191,9 @@ def test_report_load_rejects_foreign_payload(tmp_path):
 
 
 def test_attack_tag_formats():
-    assert attack_tag(None) == "none"
-    tag = attack_tag(AttackConfig(epsilon=0.03, step_size=0.0075, steps=20))
+    confusion = np.array([[1, 1], [0, 2]])
+    assert EvalReport(confusion, None, 0).attack == "none"
+    tag = EvalReport(confusion, AttackConfig(epsilon=0.03, step_size=0.0075, steps=20), 0).attack
     assert tag == "pgd-20 eps=0.03 step=0.0075 random_start=true"
 
 
@@ -214,28 +222,28 @@ def test_variance_needs_two_classes():
 
 def test_fec_published_reference_rows():
     # CIFAR-10 PGD-100 column, method vs baseline
-    assert fec(FecInputs(37.30, 22.00, 50.56, 49.57)) == pytest.approx(2.05, abs=0.01)
-    assert fec(FecInputs(36.30, 22.00, 49.69, 49.57)) == pytest.approx(1.92, abs=0.01)
+    assert fec(37.30, 22.00, 50.56, 49.57) == pytest.approx(2.05, abs=0.01)
+    assert fec(36.30, 22.00, 49.69, 49.57) == pytest.approx(1.92, abs=0.01)
     # SVHN PGD-100
-    assert fec(FecInputs(46.91, 35.78, 54.73, 53.18)) == pytest.approx(1.41, abs=0.01)
+    assert fec(46.91, 35.78, 54.73, 53.18) == pytest.approx(1.41, abs=0.01)
     # STL-10 strongest-attack column
-    assert fec(FecInputs(13.25, 5.75, 29.54, 33.88)) == pytest.approx(3.24, abs=0.01)
+    assert fec(13.25, 5.75, 29.54, 33.88) == pytest.approx(3.24, abs=0.01)
 
 
 def test_fec_of_baseline_against_itself_is_one():
-    assert fec(FecInputs(22.0, 22.0, 49.57, 49.57)) == 1.0
+    assert fec(22.0, 22.0, 49.57, 49.57) == 1.0
 
 
 def test_fec_is_scale_invariant():
-    percent = fec(FecInputs(37.30, 22.00, 50.56, 49.57))
-    fraction = fec(FecInputs(0.3730, 0.2200, 0.5056, 0.4957))
+    percent = fec(37.30, 22.00, 50.56, 49.57)
+    fraction = fec(0.3730, 0.2200, 0.5056, 0.4957)
     assert percent == pytest.approx(fraction, rel=1e-12)
 
 
 def test_fec_monotone_in_both_accuracies():
-    base = fec(FecInputs(30.0, 22.0, 48.0, 49.57))
-    assert fec(FecInputs(31.0, 22.0, 48.0, 49.57)) > base
-    assert fec(FecInputs(30.0, 22.0, 49.0, 49.57)) > base
+    base = fec(30.0, 22.0, 48.0, 49.57)
+    assert fec(31.0, 22.0, 48.0, 49.57) > base
+    assert fec(30.0, 22.0, 49.0, 49.57) > base
 
 
 def test_fec_above_one_iff_worst_gain_outpaces_average_decline():
@@ -243,7 +251,7 @@ def test_fec_above_one_iff_worst_gain_outpaces_average_decline():
     for _ in range(100):
         base_wst, base_avg = rng.uniform(10, 50), rng.uniform(40, 80)
         wst, avg = rng.uniform(5, 60), rng.uniform(30, 85)
-        value = fec(FecInputs(wst, base_wst, avg, base_avg))
+        value = fec(wst, base_wst, avg, base_avg)
         gain = (wst - base_wst) / base_wst
         decline = (base_avg - avg) / base_avg
         assert (value > 1.0) == (gain > decline)
@@ -251,7 +259,16 @@ def test_fec_above_one_iff_worst_gain_outpaces_average_decline():
 
 def test_fec_rejects_nonpositive_baselines():
     with pytest.raises(ValueError, match="baseline"):
-        FecInputs(10.0, 0.0, 50.0, 49.0)
+        fec(10.0, 0.0, 50.0, 49.0)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+@pytest.mark.parametrize("position", range(4))
+def test_fec_rejects_non_finite_accuracies(bad, position):
+    values = [37.30, 22.00, 50.56, 49.57]
+    values[position] = bad
+    with pytest.raises(ValueError, match="finite"):
+        fec(*values)
 
 
 # ----------------------------------------------------------------- table
@@ -297,7 +314,7 @@ def synthetic_report(per_class):
     confusion = np.diag((per_class * 10).astype(np.int64))
     for i in range(per_class.size):
         confusion[i, (i + 1) % per_class.size] += 10 - confusion[i, i]
-    return EvalReport(confusion, attack="none", seed=0)
+    return EvalReport(confusion, attack_config=None, seed=0)
 
 
 def test_fec_table_from_reports():

@@ -11,18 +11,20 @@ from hypothesis import strategies as st
 from codat.data import LabeledBatch
 from codat.nn_engine import (
     ModelParams,
-    OptimizerState,
     backward,
     cross_entropy_per_example,
     forward,
     init_model,
-    init_optimizer,
     load_checkpoint,
     lr_at_epoch,
     params_digest,
     save_checkpoint,
     sgd_step,
 )
+
+
+def zero_buffers(model):
+    return [(np.zeros_like(weight), np.zeros_like(bias)) for weight, bias in model.layers]
 
 
 def make_batch(rng, rows, dim, num_classes):
@@ -66,20 +68,6 @@ def test_batch_rejects_non_finite_features(features, match):
 def test_batch_rejects_zero_based_labels():
     with pytest.raises(ValueError, match="1-based"):
         LabeledBatch(np.array([[0.5, 0.5]]), np.array([0]))
-
-
-def test_optimizer_state_validates_hyperparameters():
-    model = init_model([2, 3], seed=0)
-    with pytest.raises(ValueError):
-        init_optimizer(model, learning_rate=0.0)
-    with pytest.raises(ValueError):
-        init_optimizer(model, learning_rate=0.1, momentum=1.0)
-    with pytest.raises(ValueError):
-        init_optimizer(model, learning_rate=0.1, weight_decay=-1e-4)
-    for setting in ({"learning_rate": np.nan}, {"learning_rate": np.inf},
-                    {"weight_decay": np.nan}, {"weight_decay": np.inf}):
-        with pytest.raises(ValueError, match="finite"):
-            init_optimizer(model, **{"learning_rate": 0.1, **setting})
 
 
 # -------------------------------------------------------------- forward
@@ -360,21 +348,16 @@ def test_toy3_sized_outputs_are_pinned():
 
 def test_sgd_without_momentum_or_decay_is_plain_descent():
     model = ModelParams([(np.array([[1.0, 2.0]]), np.array([0.5]))])
-    state = OptimizerState(
-        [(np.zeros((1, 2)), np.zeros(1))], learning_rate=0.1, momentum=0.0, weight_decay=0.0
-    )
     grads = [(np.array([[0.3, -0.2]]), np.array([1.0]))]
-    sgd_step(model, grads, state)
+    sgd_step(model, grads, [(np.zeros((1, 2)), np.zeros(1))], 0.1, momentum=0.0, weight_decay=0.0)
     np.testing.assert_allclose(model.layers[0][0], [[1.0 - 0.03, 2.0 + 0.02]], atol=1e-15)
     np.testing.assert_allclose(model.layers[0][1], [0.4], atol=1e-15)
 
 
 def test_sgd_zero_gradient_zero_buffer_is_fixed_point():
     model = ModelParams([(np.array([[1.0]]), np.array([2.0]))])
-    state = OptimizerState(
-        [(np.zeros((1, 1)), np.zeros(1))], learning_rate=0.1, momentum=0.9, weight_decay=0.0
-    )
-    sgd_step(model, [(np.zeros((1, 1)), np.zeros(1))], state)
+    buffers = [(np.zeros((1, 1)), np.zeros(1))]
+    sgd_step(model, [(np.zeros((1, 1)), np.zeros(1))], buffers, 0.1, momentum=0.9, weight_decay=0.0)
     assert model.layers[0][0][0, 0] == 1.0
     assert model.layers[0][1][0] == 2.0
 
@@ -382,25 +365,23 @@ def test_sgd_zero_gradient_zero_buffer_is_fixed_point():
 def test_sgd_hand_checked_single_step():
     # buffer = 0.9*0 + 0.5 + 2e-4*1.0 = 0.5002; param = 1.0 - 0.1*0.5002
     model = ModelParams([(np.array([[1.0]]), np.array([0.0]))])
-    state = init_optimizer(model, learning_rate=0.1, momentum=0.9, weight_decay=2e-4)
-    sgd_step(model, [(np.array([[0.5]]), np.array([0.0]))], state)
+    grads = [(np.array([[0.5]]), np.array([0.0]))]
+    sgd_step(model, grads, zero_buffers(model), 0.1, momentum=0.9, weight_decay=2e-4)
     assert model.layers[0][0][0, 0] == pytest.approx(0.94998, abs=1e-12)
 
 
 def test_sgd_rejects_shape_mismatch():
     model = init_model([2, 3], seed=0)
-    state = init_optimizer(model, learning_rate=0.1)
     with pytest.raises(ValueError, match="shape"):
-        sgd_step(model, [(np.zeros((3, 3)), np.zeros(3))], state)
+        sgd_step(model, [(np.zeros((3, 3)), np.zeros(3))], zero_buffers(model), 0.1, 0.9, 2e-4)
 
 
 def test_sgd_preserves_parameter_shapes():
     rng = np.random.default_rng(9)
     model = init_model([4, 8, 3], seed=5)
-    state = init_optimizer(model, learning_rate=0.05)
     shapes = [(w.shape, b.shape) for w, b in model.layers]
     grads = [(rng.normal(size=w.shape), rng.normal(size=b.shape)) for w, b in model.layers]
-    sgd_step(model, grads, state)
+    sgd_step(model, grads, zero_buffers(model), 0.05, 0.9, 2e-4)
     assert [(w.shape, b.shape) for w, b in model.layers] == shapes
 
 
@@ -433,12 +414,12 @@ def test_identical_seed_gives_bit_identical_trajectory():
     def run():
         rng = np.random.default_rng(123)
         model = init_model([3, 6, 2], seed=77)
-        state = init_optimizer(model, learning_rate=0.1)
+        buffers = zero_buffers(model)
         digests = [params_digest(model)]
         for _ in range(5):
             batch = make_batch(rng, 8, 3, 2)
             grads, _ = backward(model, batch.features, batch.labels, np.full(8, 1.0 / 8.0))
-            sgd_step(model, grads, state)
+            sgd_step(model, grads, buffers, 0.1, 0.9, 2e-4)
             digests.append(params_digest(model))
         return digests
 

@@ -104,6 +104,16 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match="momentum"):
             make_config("standard_at", momentum=1.0)
 
+    def test_rejects_zero_learning_rate_and_negative_weight_decay(self):
+        with pytest.raises(ValueError, match="learning rate"):
+            make_config("standard_at", base_lr=0.0)
+        with pytest.raises(ValueError, match="weight decay"):
+            make_config("standard_at", weight_decay=-1e-4)
+
+    def test_rejects_negative_seed(self):
+        with pytest.raises(ValueError, match="seed must be nonnegative, got -1"):
+            make_config("standard_at", seed=-1)
+
     @pytest.mark.parametrize(
         "name, value",
         [
@@ -114,6 +124,8 @@ class TestTrainConfig:
             ("hidden_dims", (2.7,)),
             ("hidden_dims", (True,)),
             ("lr_milestones", (45.5,)),
+            ("seed", 1.5),
+            ("seed", True),
         ],
     )
     def test_rejects_integer_settings_that_are_not_integers(self, name, value):
