@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .data import LabeledBatch
-from .nn_engine import ModelParams, backward, check_int
+from .nn_engine import ModelParams, backward, check_int, check_real
 
 
 @dataclass(frozen=True)
@@ -33,6 +33,8 @@ class AttackConfig:
     random_start: bool = True
 
     def __post_init__(self):
+        check_real("epsilon", self.epsilon)
+        check_real("step_size", self.step_size)
         if not math.isfinite(self.epsilon) or not 0.0 <= self.epsilon < 1.0:
             raise ValueError(f"epsilon must lie in [0, 1), got {self.epsilon}")
         if not math.isfinite(self.step_size):

@@ -106,7 +106,7 @@ class MixtureSpec:
             for b in range(a + 1, self.num_classes):
                 if np.array_equal(means[a], means[b]):
                     raise ValueError(f"class means {a + 1} and {b + 1} coincide")
-        if not 0.0 < self.spread < np.inf:
+        if isinstance(self.spread, bool) or not 0.0 < self.spread < np.inf:
             raise ValueError(f"spread must be positive and finite, got {self.spread}")
         if self.samples_per_class < 1:
             raise ValueError("need at least one sample per class")

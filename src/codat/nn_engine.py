@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -127,6 +128,12 @@ def check_int(name: str, value) -> int:
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name}: expected an integer, got {value!r}")
     return int(value)
+
+
+def check_real(name: str, value) -> None:
+    """Raise ValueError naming `name` unless `value` is a real number (a bool is not)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name}: expected a real number, got {value!r}")
 
 
 def cross_entropy_per_example(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
@@ -282,5 +289,7 @@ def load_checkpoint(path) -> tuple[ModelParams, int, str]:
                 f"model checkpoint layer {i} needs a {fan_out}x{fan_in} weight "
                 f"and {fan_out} biases"
             ) from None
+        # the parsed lists hold about four times their arrays' bytes; free them now
+        weights[i] = biases[i] = None
         layers.append((weight, bias))
     return ModelParams(layers), payload["seed"], payload["config_hash"]

@@ -37,6 +37,7 @@ from .nn_engine import (
     check_artifact,
     check_int,
     check_labels,
+    check_real,
     cross_entropy_per_example,
     forward,
     init_model,
@@ -79,6 +80,8 @@ class TrainConfig:
             object.__setattr__(self, name, check_int(name, getattr(self, name)))
         for name in ("lr_milestones", "hidden_dims"):
             object.__setattr__(self, name, tuple(check_int(name, v) for v in getattr(self, name)))
+        for name in ("base_lr", "momentum", "weight_decay", "lr_factor", "eta"):
+            check_real(name, getattr(self, name))
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch_size must be at least 1")
         if self.seed < 0:
@@ -174,9 +177,7 @@ def class_avg_loss(
     labels = check_labels(labels, losses.size, num_classes)
     sums = np.bincount(labels - 1, weights=losses, minlength=num_classes)
     counts = np.bincount(labels - 1, minlength=num_classes)
-    present = counts > 0
-    risks = np.zeros(num_classes)
-    risks[present] = sums[present] / counts[present]
+    risks = np.divide(sums, counts, out=np.zeros(num_classes), where=counts > 0)
     return ClassRiskVector(risks), counts, sums
 
 
@@ -216,14 +217,17 @@ def _standard_step(config, adv_losses, risks, counts):
     return float(np.mean(adv_losses)), None, counts / adv_losses.size, None
 
 
+def _fixed_row_step(class_row, risks):
+    # the row routes and is recorded; a one-hot row's loss is exactly its class risk
+    return float(np.dot(class_row, risks.risks)), class_row, class_row, None
+
+
 def _weighted_step(config, adv_losses, risks, counts):
     masked = np.where(counts > 0, config.fixed_weights.weights, 0.0)
     mass = float(np.sum(masked))
     if mass <= 0.0:
         raise ValueError("fixed weights place no mass on the classes in this batch")
-    class_row = masked / mass
-    loss = float(np.dot(class_row, risks.risks))
-    return loss, class_row, class_row, None
+    return _fixed_row_step(masked / mass, risks)
 
 
 def _riskiest_class(risks: ClassRiskVector, counts: np.ndarray) -> int:
@@ -232,11 +236,7 @@ def _riskiest_class(risks: ClassRiskVector, counts: np.ndarray) -> int:
 
 
 def _worst_class_step(config, adv_losses, risks, counts):
-    worst = _riskiest_class(risks, counts)
-    class_row = np.zeros(counts.size)
-    class_row[worst] = 1.0
-    loss = float(risks.risks[worst])
-    return loss, class_row, class_row, None
+    return _fixed_row_step(np.eye(counts.size)[_riskiest_class(risks, counts)], risks)
 
 
 STEP_FNS = {
@@ -329,9 +329,7 @@ def train(config: TrainConfig, train_data: Dataset, eval_data: Dataset | None = 
     best_worst = -1.0
     for epoch in range(config.epochs):
         started = time.perf_counter()
-        learning_rate = lr_at_epoch(
-            config.base_lr, epoch, list(config.lr_milestones), config.lr_factor
-        )
+        learning_rate = lr_at_epoch(config.base_lr, epoch, config.lr_milestones, config.lr_factor)
         rows = []
         for idx, batch in enumerate(
             batch_iter(train_data, config.batch_size, config.seed, epoch=epoch)

@@ -54,6 +54,19 @@ def test_config_rejects_random_start_that_is_not_a_bool(random_start):
         AttackConfig(epsilon=0.03, step_size=0.01, steps=3, random_start=random_start)
 
 
+@pytest.mark.parametrize(
+    "name, settings",
+    [
+        ("epsilon", dict(epsilon=False, step_size=0.0075)),
+        ("epsilon", dict(epsilon="0.03", step_size=0.0075)),
+        ("step_size", dict(epsilon=0.6, step_size=True)),
+    ],
+)
+def test_config_rejects_settings_that_are_not_real_numbers(name, settings):
+    with pytest.raises(ValueError, match=f"{name}: expected a real number"):
+        AttackConfig(steps=3, **settings)
+
+
 def test_config_stores_numpy_integer_steps_as_int():
     cfg = AttackConfig(epsilon=0.03, step_size=0.01, steps=np.int64(3))
     assert type(cfg.steps) is int and type(cfg.as_dict()["steps"]) is int

@@ -23,7 +23,7 @@ from codat.cli import (
     resolve_config,
     run_directory,
 )
-from codat.data import gen_gaussian_mixture, save_csv, toy3_spec
+from codat.data import Dataset, gen_gaussian_mixture, save_csv, toy3_spec
 from codat.metrics import EvalReport
 from codat.nn_engine import ModelParams, init_model, save_checkpoint
 from codat.training import TrainConfig
@@ -475,6 +475,23 @@ class TestAttackCommand:
         assert summary["adversarial_accuracy"] == adversarial["average_accuracy"]
         assert summary["adversarial_accuracy"] < summary["natural_accuracy"]
 
+    def test_split_lacking_a_class_attacks_but_does_not_evaluate(
+        self, trained_run, tmp_path, capsys
+    ):
+        # `attack` sums over rows; `evaluate` needs every class's accuracy
+        test = gen_gaussian_mixture(toy3_spec(samples_per_class=30, seed=10000), split="test")
+        keep = test.labels != 2
+        save_csv(Dataset(test.features[keep], test.labels[keep], "test"), tmp_path / "test.csv")
+        shared = ["--checkpoint", str(trained_run / "checkpoint.json"), "--preset", "toy3",
+                  "--seed", "0", "--eval-attack-steps", "5", "--test-csv", str(tmp_path / "test.csv")]
+        assert main(["attack", *shared, "--out", str(tmp_path / "attack")]) == 0
+        written = sorted(path.name for path in (tmp_path / "attack").iterdir())
+        assert written == ["adversarial.csv", "attack_summary.json"]
+        capsys.readouterr()
+        assert main(["evaluate", *shared, "--out", str(tmp_path / "evaluate")]) == 2
+        assert "error: class 2 has no examples" in capsys.readouterr().err
+        assert not (tmp_path / "evaluate").exists()
+
     def test_diverged_model_exits_1_and_writes_nothing(self, tmp_path, capsys):
         # finite weights whose logits overflow: the losses would be NaN
         model = init_model([2, 8, 3], seed=0)
@@ -609,6 +626,8 @@ class TestFecCommand:
             ("attack_config", {**ATTACK, "epsilon": 2.0}, json.dumps({**ATTACK, "epsilon": 2.0})),
             ("attack_config", {**ATTACK, "random_start": 1},
              json.dumps({**ATTACK, "random_start": 1})),
+            ("attack_config", {**ATTACK, "epsilon": False},
+             json.dumps({**ATTACK, "epsilon": False})),
         ],
         ids=[
             "null_accuracy", "list_seed", "null_per_class", "per_class_above_one",
@@ -618,7 +637,7 @@ class TestFecCommand:
             "contradicted_worst", "contradicted_variance", "empty_class_row",
             "fractional_cell", "overflowing_cell", "fractional_seed", "bool_seed",
             "string_seed", "tag_against_null_config", "unknown_attack_key",
-            "fractional_steps", "epsilon_above_one", "integer_random_start",
+            "fractional_steps", "epsilon_above_one", "integer_random_start", "bool_epsilon",
         ],
     )
     def test_report_with_malformed_field_is_clean_error(

@@ -79,6 +79,11 @@ def test_mixture_rejects_non_finite_spread(spread):
         MixtureSpec(2, 2, np.array([[0.0, 0.0], [1.0, 1.0]]), spread, 10, 0)
 
 
+def test_mixture_rejects_bool_spread():
+    with pytest.raises(ValueError, match="spread must be positive and finite, got True"):
+        MixtureSpec(2, 2, np.array([[0.0, 0.0], [1.0, 1.0]]), True, 10, 0)
+
+
 def test_mixture_class_counts_match_spec():
     ds = gen_gaussian_mixture(toy3_spec(samples_per_class=50, seed=1))
     np.testing.assert_array_equal(ds.class_counts, [50, 50, 50])

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -436,6 +437,22 @@ def test_checkpoint_round_trip_is_exact(tmp_path):
     loaded, seed, config_hash = load_checkpoint(path)
     assert (seed, config_hash) == (11, "abc123")
     assert params_digest(loaded) == params_digest(model)
+
+
+def test_bench_checkpoint_loads_to_its_pinned_digest():
+    path = Path(__file__).resolve().parents[1] / "benchmarks/data/toy3_codat_eta0.3_seed0.json"
+    model, _, _ = load_checkpoint(path)
+    assert params_digest(model) == "267ce4fbbef84200d95dcb2e0fe30fef46b9d3d84aef449bc6b58df28c61501c"
+
+
+def test_checkpoint_reader_drops_each_parsed_layer(tmp_path, monkeypatch):
+    # the parsed lists hold about four times their arrays' bytes
+    save_checkpoint(init_model([2, 4, 3], seed=0), tmp_path / "m.json", seed=0, config_hash="h")
+    parsed = []
+    real_load = json.load
+    monkeypatch.setattr(json, "load", lambda fh: parsed.append(real_load(fh)) or parsed[-1])
+    load_checkpoint(tmp_path / "m.json")
+    assert parsed[0]["weights"] == [None, None] and parsed[0]["biases"] == [None, None]
 
 
 def test_checkpoint_writes_are_byte_identical(tmp_path):

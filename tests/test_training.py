@@ -132,6 +132,21 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match=f"{name}: expected an integer"):
             make_config("standard_at", **{name: value})
 
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("base_lr", True),
+            ("momentum", False),
+            ("weight_decay", True),
+            ("lr_factor", True),
+            ("eta", True),
+            ("base_lr", "0.05"),
+        ],
+    )
+    def test_rejects_float_settings_that_are_not_real_numbers(self, name, value):
+        with pytest.raises(ValueError, match=f"{name}: expected a real number"):
+            make_config("codat", **{name: value})
+
     def test_numpy_integer_settings_become_ints(self):
         config = make_config(
             "standard_at",

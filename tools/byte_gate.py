@@ -17,6 +17,8 @@ scratch directory with single-threaded BLAS, on small toy3 runs:
   stacking of those batches into `adversarial.csv`, are hashed;
 - `attack` with radius 0.45, whose adversarial rows sit on the [0, 1]
   faces where the ball and the feature box meet;
+- `attack` on a CSV test split that lacks class 2, which `attack` takes
+  and `evaluate` rejects;
 - `sweep --etas 0,0.3,1.5`;
 - `fec --csv` on that sweep's `sweep.csv`, and `fec --reports` on the
   natural and the PGD report of the `evaluate` runs;
@@ -53,7 +55,14 @@ from pathlib import Path
 
 import numpy as np
 
-from codat.data import IDX_IMAGES_MAGIC, IDX_LABELS_MAGIC, gen_gaussian_mixture, save_csv, toy3_spec
+from codat.data import (
+    IDX_IMAGES_MAGIC,
+    IDX_LABELS_MAGIC,
+    Dataset,
+    gen_gaussian_mixture,
+    save_csv,
+    toy3_spec,
+)
 
 SIZE = ["--preset", "toy3", "--epochs", "2", "--train-per-class", "60", "--test-per-class", "40"]
 CHECKPOINT = "runs/codat_toy3_eta0.3_seed0/checkpoint.json"
@@ -123,6 +132,13 @@ MATRIX = [
             "--eval-attack-step-size", "0.1", "--out", "attack_wide_ball",
         ],
     ),
+    (
+        "attack_csv_no_class2",
+        [
+            "attack", *SIZE, "--test-csv", "data/test_no_class2.csv", "--checkpoint", CHECKPOINT,
+            "--out", "attack_csv_no_class2",
+        ],
+    ),
     ("sweep", ["sweep", *SIZE, "--etas", "0,0.3,1.5", "--out-root", "sweep"]),
     (
         "fec_csv",
@@ -165,10 +181,13 @@ def _blank_volatile(name: str, data: bytes) -> bytes:
 
 
 def write_data(data_dir: Path) -> None:
-    """toy3 CSV splits, and a 2x2-pixel three-class IDX pair (90 train, 45 test)."""
+    """toy3 CSV splits (and the test one without class 2), a 2x2-pixel IDX pair (90 train, 45 test)."""
     data_dir.mkdir()
     save_csv(gen_gaussian_mixture(toy3_spec(60, seed=0), split="train"), data_dir / "train.csv")
-    save_csv(gen_gaussian_mixture(toy3_spec(40, seed=10000), split="test"), data_dir / "test.csv")
+    test = gen_gaussian_mixture(toy3_spec(40, seed=10000), split="test")
+    save_csv(test, data_dir / "test.csv")
+    keep = test.labels != 2
+    save_csv(Dataset(test.features[keep], test.labels[keep], "test"), data_dir / "test_no_class2.csv")
     rng = np.random.default_rng(7)
     means = np.array([[40, 200, 40, 200], [200, 40, 200, 40], [120, 120, 120, 120]])
     for split, count in (("train", 90), ("test", 45)):
