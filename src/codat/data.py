@@ -4,7 +4,8 @@ Provides a controllable K-class Gaussian-mixture generator whose default
 3-class preset places two class means close together (one hard pair, one
 easy class), an IDX binary loader for MNIST-style corpora, a numeric CSV
 loader, and a seeded iterator of `LabeledBatch` minibatches, all with
-features in [0, 1] as the attack module requires.
+features in [0, 1] as the attack module requires.  The generator and the
+CSV loader scale each split on its own bounds, not on the train split's.
 """
 
 from __future__ import annotations
@@ -86,10 +87,12 @@ class Dataset(LabeledBatch):
 
 @dataclass(frozen=True)
 class MixtureSpec:
-    """Isotropic Gaussian mixture: one component per class, shared spread."""
+    """Isotropic Gaussian mixture: one component per class, shared spread.
 
-    num_classes: int
-    dim: int
+    `means` holds one row per class, so its shape gives the class count
+    and the feature dimension.
+    """
+
     means: np.ndarray
     spread: float
     samples_per_class: int
@@ -97,17 +100,19 @@ class MixtureSpec:
 
     def __post_init__(self):
         means = np.asarray(self.means, dtype=np.float64)
-        if means.shape != (self.num_classes, self.dim):
-            raise ValueError(
-                f"means shape {means.shape} does not match "
-                f"({self.num_classes}, {self.dim})"
-            )
-        for a in range(self.num_classes):
-            for b in range(a + 1, self.num_classes):
+        if means.ndim != 2:
+            raise ValueError(f"means must be 2-d, one row per class, got shape {means.shape}")
+        for a in range(len(means)):
+            for b in range(a + 1, len(means)):
                 if np.array_equal(means[a], means[b]):
                     raise ValueError(f"class means {a + 1} and {b + 1} coincide")
         if isinstance(self.spread, bool) or not 0.0 < self.spread < np.inf:
             raise ValueError(f"spread must be positive and finite, got {self.spread}")
+        for name in ("samples_per_class", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name}: expected an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if self.samples_per_class < 1:
             raise ValueError("need at least one sample per class")
         means = means.copy()
@@ -122,32 +127,27 @@ def toy3_spec(samples_per_class: int = 500, seed: int = 0, spread: float = 1.0) 
     the hardest; classes 1 and 3 each border only class 2.
     """
     means = np.array([[0.0, 0.0], [2.3, 2.0], [4.7, 0.1]])
-    return MixtureSpec(
-        num_classes=3,
-        dim=2,
-        means=means,
-        spread=spread,
-        samples_per_class=samples_per_class,
-        seed=seed,
-    )
+    return MixtureSpec(means=means, spread=spread, samples_per_class=samples_per_class, seed=seed)
 
 
 def gen_gaussian_mixture(spec: MixtureSpec, split: str = "train") -> Dataset:
-    """Sample the mixture and min-max rescale to [0, 1] with global bounds."""
+    """Sample the mixture and min-max rescale it to [0, 1] on this split's bounds.
+
+    The bounds are the smallest and largest raw value over all features,
+    so a train and a test split map one raw point to slightly different rows.
+    """
     rng = np.random.default_rng(spec.seed)
     blocks, labels = [], []
-    for cls in range(spec.num_classes):
+    for cls, mean in enumerate(spec.means):
         blocks.append(
-            rng.normal(
-                loc=spec.means[cls], scale=spec.spread, size=(spec.samples_per_class, spec.dim)
-            )
+            rng.normal(loc=mean, scale=spec.spread, size=(spec.samples_per_class, mean.size))
         )
         labels.append(np.full(spec.samples_per_class, cls + 1, dtype=np.int64))
     raw = np.vstack(blocks)
     low, high = float(np.min(raw)), float(np.max(raw))
+    # fl(x - low) <= fl(high - low), and rounding keeps the quotient monotone,
+    # so the features land in [0, 1] with the bounds at exactly 0.0 and 1.0
     scaled = (raw - low) / (high - low)
-    # guard the upper edge against one-ulp overshoot from the division
-    scaled = np.clip(scaled, 0.0, 1.0)
     provenance = {
         "source": "gaussian_mixture",
         "seed": spec.seed,
@@ -290,8 +290,6 @@ def batch_iter(dataset: Dataset, batch_size: int, seed, shuffle: bool = True, ep
     """
     if batch_size < 1:
         raise ValueError(f"batch size must be at least 1, got {batch_size}")
-    if dataset.size == 0:
-        raise ValueError("cannot batch an empty dataset")
     if shuffle:
         order = np.random.default_rng((seed, epoch)).permutation(dataset.size)
     else:

@@ -19,6 +19,7 @@ neither solver; it is kept to check both, in tests and in `codat oracle`.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -30,8 +31,15 @@ import numpy as np
 ZERO_VARIANCE_GUARD = 1e-12
 
 
-def _as_readonly(values) -> np.ndarray:
+def _class_vector(values, what: str) -> np.ndarray:
+    """A read-only copy of `values`: finite, nonnegative, one entry per class, K >= 2."""
     arr = np.asarray(values, dtype=np.float64).copy()
+    if arr.ndim != 1 or arr.size < 2:
+        raise ValueError(f"{what} needs at least 2 classes, got shape {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{what} entries must be finite")
+    if np.min(arr) < 0.0:
+        raise ValueError(f"negative entry {np.min(arr)} in {what}")
     arr.flags.writeable = False
     return arr
 
@@ -43,13 +51,7 @@ class ProbabilityDistribution:
     weights: np.ndarray
 
     def __post_init__(self):
-        arr = _as_readonly(self.weights)
-        if arr.ndim != 1 or arr.size < 2:
-            raise ValueError(f"distribution needs at least 2 classes, got shape {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("distribution weights must be finite")
-        if np.min(arr) < 0.0:
-            raise ValueError(f"negative weight {np.min(arr)} in distribution")
+        arr = _class_vector(self.weights, "distribution")
         total = float(np.sum(arr))
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"distribution weights sum to {total}, expected 1 within 1e-9")
@@ -72,14 +74,7 @@ class ClassRiskVector:
     risks: np.ndarray
 
     def __post_init__(self):
-        arr = _as_readonly(self.risks)
-        if arr.ndim != 1 or arr.size < 2:
-            raise ValueError(f"risk vector needs at least 2 classes, got shape {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("risk entries must be finite")
-        if np.min(arr) < 0.0:
-            raise ValueError(f"negative risk {np.min(arr)}")
-        object.__setattr__(self, "risks", arr)
+        object.__setattr__(self, "risks", _class_vector(self.risks, "risk vector"))
 
     @property
     def size(self) -> int:
@@ -103,6 +98,9 @@ class AmbiguityConfig:
     eta: float
 
     def __post_init__(self):
+        # a bool is an int, and float() would also read a numeric string
+        if isinstance(self.eta, bool) or not isinstance(self.eta, numbers.Real):
+            raise ValueError(f"eta: expected a real number, got {self.eta!r}")
         eta = float(self.eta)
         if not math.isfinite(eta) or eta < 0.0:
             raise ValueError(f"ambiguity radius must be finite and >= 0, got {eta}")

@@ -70,8 +70,6 @@ class ModelParams:
 
 def init_model(layer_dims: list[int], seed: int) -> ModelParams:
     """Scaled-uniform fan-in initialization: U(-1/sqrt(fan_in), 1/sqrt(fan_in))."""
-    if len(layer_dims) < 2:
-        raise ValueError("need at least input and output dimensions")
     rng = np.random.default_rng(seed)
     layers = []
     for fan_in, fan_out in zip(layer_dims[:-1], layer_dims[1:]):

@@ -193,16 +193,14 @@ def _in_order_sum(values):
 # `risks` and the class counts `counts` (a class is present when its count is
 # positive) come from class_avg_loss.  The routing row holds the class weights
 # that drive the update (None: the example mean); the history row is the one
-# the history records.  `closed_form_valid` is None but for codat.
+# the history records.  `closed_form_valid` is None but for codat on two or more classes.
 
 
 def _codat_step(config, adv_losses, risks, counts):
     # centred on uniform over the present classes, the ball gives absent ones weight 0
     present = int(np.count_nonzero(counts))
-    if present == 1:
-        # a single-class batch has no ball and degenerates to that class
-        return _worst_class_step(config, adv_losses, risks, counts)
-    # a batch missing classes shrinks the Dirac bound; clamp just below it
+    # a batch missing classes shrinks the Dirac bound; clamp just below it (to
+    # 0 for a single class, whose one-point ball gives that class's risk and row)
     eta = min(config.eta, (present - 1) * (1.0 - 1e-9))
     center = ProbabilityDistribution(np.where(counts > 0, 1.0 / present, 0.0))
     solution = worst_case_distribution(risks, AmbiguityConfig(center, eta))
@@ -210,7 +208,8 @@ def _codat_step(config, adv_losses, risks, counts):
     # gradient of the deterministic equivalent, the batch loss (they coincide
     # when the closed form is valid, and only the gradient drives the update)
     form = solution.closed_form
-    return form.objective, form.gradient, solution.distribution.weights, form.valid
+    valid = form.valid if present > 1 else None  # a one-point ball has no closed form to test
+    return form.objective, form.gradient, solution.distribution.weights, valid
 
 
 def _standard_step(config, adv_losses, risks, counts):

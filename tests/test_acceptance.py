@@ -133,8 +133,6 @@ def _line(num: int, ok: bool, detail: str) -> None:
 
 def _toy_dataset(samples_per_class: int, seed: int, split: str):
     spec = MixtureSpec(
-        num_classes=3,
-        dim=2,
         means=TOY_MEANS,
         spread=1.0,
         samples_per_class=samples_per_class,

@@ -2,6 +2,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from codat.attacks import AttackConfig
 from codat.data import (
@@ -65,23 +67,44 @@ def test_dataset_class_counts():
 
 def test_mixture_rejects_coinciding_means():
     with pytest.raises(ValueError, match="coincide"):
-        MixtureSpec(2, 2, np.array([[1.0, 1.0], [1.0, 1.0]]), 1.0, 10, 0)
+        MixtureSpec(np.array([[1.0, 1.0], [1.0, 1.0]]), 1.0, 10, 0)
 
 
 def test_mixture_rejects_nonpositive_spread():
     with pytest.raises(ValueError, match="spread"):
-        MixtureSpec(2, 2, np.array([[0.0, 0.0], [1.0, 1.0]]), 0.0, 10, 0)
+        MixtureSpec(np.array([[0.0, 0.0], [1.0, 1.0]]), 0.0, 10, 0)
 
 
 @pytest.mark.parametrize("spread", [float("nan"), float("inf")])
 def test_mixture_rejects_non_finite_spread(spread):
     with pytest.raises(ValueError, match="spread must be positive and finite"):
-        MixtureSpec(2, 2, np.array([[0.0, 0.0], [1.0, 1.0]]), spread, 10, 0)
+        MixtureSpec(np.array([[0.0, 0.0], [1.0, 1.0]]), spread, 10, 0)
 
 
 def test_mixture_rejects_bool_spread():
     with pytest.raises(ValueError, match="spread must be positive and finite, got True"):
-        MixtureSpec(2, 2, np.array([[0.0, 0.0], [1.0, 1.0]]), True, 10, 0)
+        MixtureSpec(np.array([[0.0, 0.0], [1.0, 1.0]]), True, 10, 0)
+
+
+@pytest.mark.parametrize("means", [np.array([0.0, 1.0]), np.zeros((2, 2, 2))])
+def test_mixture_rejects_means_that_are_not_2d(means):
+    with pytest.raises(ValueError, match="means must be 2-d"):
+        MixtureSpec(means, 1.0, 10, 0)
+
+
+@pytest.mark.parametrize(
+    "name, value", [("samples_per_class", True), ("samples_per_class", 2.5), ("seed", True), ("seed", 1.5)]
+)
+def test_mixture_rejects_integer_fields_that_are_not_integers(name, value):
+    fields = dict(means=np.array([[0.0, 0.0], [1.0, 1.0]]), spread=1.0, samples_per_class=10, seed=0)
+    with pytest.raises(ValueError, match=f"{name}: expected an integer"):
+        MixtureSpec(**{**fields, name: value})
+
+
+def test_mixture_stores_numpy_integer_fields_as_int():
+    spec = MixtureSpec(np.array([[0.0], [1.0]]), 1.0, np.int64(3), np.uint8(4))
+    assert type(spec.samples_per_class) is int and type(spec.seed) is int
+    assert gen_gaussian_mixture(spec).size == 6
 
 
 def test_mixture_class_counts_match_spec():
@@ -102,6 +125,23 @@ def test_mixture_features_span_unit_interval():
     assert float(np.max(ds.features)) == 1.0
     low, high = ds.provenance["bounds"]
     assert low < high
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    spread=st.floats(1e-6, 1e3),
+    classes=st.integers(2, 5),
+    dim=st.integers(1, 3),
+    per_class=st.integers(1, 40),
+)
+def test_mixture_features_reach_exactly_zero_and_one(seed, spread, classes, dim, per_class):
+    # the bounds map to exactly 0.0 and 1.0 and rounding keeps the rest
+    # between them, so the scaled features need no clip
+    means = np.random.default_rng(seed).normal(scale=5.0, size=(classes, dim))
+    ds = gen_gaussian_mixture(MixtureSpec(means, spread, per_class, seed))
+    assert float(np.min(ds.features)) == 0.0
+    assert float(np.max(ds.features)) == 1.0
 
 
 def test_mixture_tiny_spread_collapses_classes_onto_rescaled_means():

@@ -66,6 +66,12 @@ def test_ambiguity_radius_must_stay_below_dirac_bound():
     assert AmbiguityConfig(uniform_distribution(3), eta=0.0).eta == 0.0
 
 
+@pytest.mark.parametrize("eta", [True, False, "0.5", None])
+def test_ambiguity_radius_must_be_a_real_number(eta):
+    with pytest.raises(ValueError, match="eta: expected a real number"):
+        AmbiguityConfig(uniform_distribution(3), eta)
+
+
 # ---------------------------------------------------------- divergence
 
 

@@ -1,7 +1,8 @@
 """Import layering of the package, read from the source with `ast`.
 
 `nn_engine`, `dro_core` and `data` import nothing from the package, and
-`attacks` imports only `data` and `nn_engine`.
+`attacks` imports only `data` and `nn_engine`.  Every other module's
+imports are pinned too, so a new import edge shows up as an edit here.
 """
 
 import ast
@@ -37,3 +38,21 @@ def test_core_module_imports_nothing_from_the_package(name):
 
 def test_attacks_imports_only_data_and_nn_engine():
     assert IMPORTS["attacks"] == {"data", "nn_engine"}
+
+
+UPPER_IMPORTS = {
+    "metrics": {"attacks", "data", "nn_engine"},
+    "training": {"attacks", "data", "dro_core", "metrics", "nn_engine"},
+    "cli": {"attacks", "data", "dro_core", "metrics", "nn_engine", "training"},
+}
+
+
+@pytest.mark.parametrize("name", sorted(UPPER_IMPORTS))
+def test_upper_module_imports_are_pinned(name):
+    assert IMPORTS[name] == UPPER_IMPORTS[name]
+
+
+def test_every_module_is_pinned():
+    pinned = {"__init__", "nn_engine", "dro_core", "data", "attacks", *UPPER_IMPORTS}
+    assert set(IMPORTS) == pinned
+    assert IMPORTS["__init__"] == set()

@@ -209,13 +209,19 @@ class TestCodatBatchLoss:
         assert loss == pytest.approx(7.0 / 3.0, abs=1e-12)
 
     def test_single_class_batch_returns_its_risk(self):
-        loss, routing, row, valid = run_step(
-            "codat", np.array([2.5, 3.5]), np.array([2, 2]), 3, eta=0.7
-        )
-        assert loss == 3.0
-        assert np.array_equal(row, [0.0, 1.0, 0.0])
-        assert np.array_equal(routing, [0.0, 1.0, 0.0])
-        assert valid is None
+        # the radius clamps to 0, and the one-point ball gives the worst-class
+        # step's loss, routing row and history row, bit for bit
+        losses, labels = np.array([2.5, 3.5]), np.array([2, 2])
+        worst_loss, worst_routing, worst_row, _ = run_step("worst_class", losses, labels, 3)
+        for eta in (0.0, 0.7, 1.5):
+            loss, routing, row, valid = run_step("codat", losses, labels, 3, eta=eta)
+            assert loss == 3.0
+            assert np.array_equal(row, [0.0, 1.0, 0.0])
+            assert np.array_equal(routing, [0.0, 1.0, 0.0])
+            assert valid is None
+            assert np.float64(loss).tobytes() == np.float64(worst_loss).tobytes()
+            for ours, theirs in ((routing, worst_routing), (row, worst_row)):
+                assert ours.dtype == theirs.dtype and ours.tobytes() == theirs.tobytes()
 
     def test_hand_value_three_classes(self):
         loss, _, _, _ = run_step(
