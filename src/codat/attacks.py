@@ -5,7 +5,10 @@ the epsilon ball around each input and the [0, 1] feature box.  Outputs
 satisfy max|x' - x| <= epsilon and x' in [0, 1] exactly as measured in
 float64, not merely within a tolerance: each attack builds every
 coordinate's exact feasible interval once (`feasible_box`), and the random
-start and every step are one clip into it.
+start and every step are one clip into it.  Each attack also allocates one
+set of `nn_engine` walk buffers (`walk_buffers`), owns it, and hands it to
+`backward` on every step, so its steps allocate no layer-sized arrays.  The
+returned rows are the attack's own array and never alias that set.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .data import LabeledBatch
-from .nn_engine import ModelParams, backward, check_int, check_real
+from .nn_engine import ModelParams, backward, check_int, check_real, walk_buffers
 
 
 @dataclass(frozen=True)
@@ -84,7 +87,8 @@ def pgd_attack(
 
     Each step takes the input gradient of the plain unweighted per-example
     loss on the current perturbed rows from `backward` without loss
-    weights, which forms no weight gradient.  The returned array has the
+    weights, which forms no weight gradient; every step walks the one set
+    of walk buffers this attack allocates.  The returned array has the
     same shape as `batch.features` and is exactly feasible.  Fixed seeds
     give identical perturbations.
     """
@@ -102,8 +106,9 @@ def pgd_attack(
         perturbed = np.clip(start, lo, hi, out=start)
     else:
         perturbed = anchor.copy()
+    buffers = walk_buffers(model, anchor.shape[0])
     for step in range(cfg.steps):
-        _, input_grads = backward(model, perturbed, batch.labels)
+        _, input_grads = backward(model, perturbed, batch.labels, buffers=buffers)
         if not np.all(np.isfinite(input_grads)):
             raise RuntimeError(
                 f"non-finite input gradient at attack step {step}; "

@@ -102,6 +102,8 @@ class MixtureSpec:
         means = np.asarray(self.means, dtype=np.float64)
         if means.ndim != 2:
             raise ValueError(f"means must be 2-d, one row per class, got shape {means.shape}")
+        if means.shape[0] == 0:
+            raise ValueError(f"means must hold at least one class row, got shape {means.shape}")
         for a in range(len(means)):
             for b in range(a + 1, len(means)):
                 if np.array_equal(means[a], means[b]):
@@ -115,6 +117,8 @@ class MixtureSpec:
             object.__setattr__(self, name, int(value))
         if self.samples_per_class < 1:
             raise ValueError("need at least one sample per class")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
         means = means.copy()
         means.flags.writeable = False
         object.__setattr__(self, "means", means)

@@ -9,9 +9,13 @@ piecewise-constant learning-rate schedule.
 Everything is plain numpy in float64, array in and array out: `forward`
 takes a 2-d feature array and `backward` that and one integer label in
 [1, K] per row, as `check_labels` requires of every label reader.  They
-share one layer walk, in which each dense layer writes its output into one
-fresh array and adds the bias and applies the rectifier in place, so a
-512-row pass through 256-unit layers peaks at about 2 MiB of temporaries.
+share one layer walk, which writes each dense layer's output and rectifier
+mask into walk buffers owned by its caller (`walk_buffers`); the backward
+sweep writes each layer's delta back into the output buffer of the layer it
+came from.  `forward`, and `backward` unless handed a set, allocate a fresh
+set per call, so a 512-row pass through the toy3 256-unit layers holds about
+2.3 MiB of buffers.  The returned logits, weight gradients and input
+gradients never alias a set that a caller reuses.
 """
 
 from __future__ import annotations
@@ -80,26 +84,32 @@ def init_model(layer_dims: list[int], seed: int) -> ModelParams:
     return ModelParams(layers)
 
 
-def _walk(model: ModelParams, features: np.ndarray, keep_inputs: bool):
-    """(logits, layer inputs if `keep_inputs`, rectifier masks) of one pass."""
+def walk_buffers(model: ModelParams, rows: int) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Fresh (outputs, masks) for a `rows`-row walk: one output per layer, one mask per rectifier."""
+    outputs = [np.empty((rows, weight.shape[0])) for weight, _ in model.layers]
+    masks = [np.empty((rows, weight.shape[0]), dtype=bool) for weight, _ in model.layers[:-1]]
+    return outputs, masks
+
+
+def _walk(model: ModelParams, features: np.ndarray, outputs, masks) -> np.ndarray:
+    """Write one pass into `outputs` and `masks`; returns the logits, `outputs[-1]`."""
     if features.ndim != 2 or features.shape[1] != model.input_dim:
         raise ValueError(f"features {features.shape} do not fit model input dim {model.input_dim}")
-    activation, inputs, masks = features, [], []
+    activation = features
     last = len(model.layers) - 1
     for idx, (weight, bias) in enumerate(model.layers):
-        if keep_inputs:
-            inputs.append(activation)
-        activation = activation @ weight.T
-        activation += bias
+        output = np.matmul(activation, weight.T, out=outputs[idx])
+        output += bias
         if idx != last:
-            masks.append(activation > 0.0)
-            np.maximum(activation, 0.0, out=activation)
-    return activation, inputs, masks
+            np.greater(output, 0.0, out=masks[idx])
+            np.maximum(output, 0.0, out=output)
+        activation = output
+    return activation
 
 
 def forward(model: ModelParams, features: np.ndarray) -> np.ndarray:
     """Logits for every feature row; rectifier between layers, identity at output."""
-    return _walk(model, features, keep_inputs=False)[0]
+    return _walk(model, features, *walk_buffers(model, features.shape[0]))
 
 
 def check_labels(labels, rows: int, num_classes: int) -> np.ndarray:
@@ -147,42 +157,53 @@ def cross_entropy_per_example(logits: np.ndarray, labels: np.ndarray) -> np.ndar
 
 
 def backward(
-    model: ModelParams, features: np.ndarray, labels: np.ndarray, loss_weights=None
+    model: ModelParams, features: np.ndarray, labels: np.ndarray, loss_weights=None, buffers=None
 ) -> tuple[list[tuple[np.ndarray, np.ndarray]] | None, np.ndarray]:
     """Gradients of sum_i loss_weights[i] * cross_entropy_i over the feature rows.
 
     Returns per-layer (weight gradient, bias gradient) pairs and the
     gradient with respect to the input features.  Without `loss_weights`
     (the attack loop) the loss is the plain sum and only the input gradient
-    is formed: the pairs are None, and no layer input is kept, only the
-    rectifier masks.  Its input gradient equals, bit for bit, the one
-    returned for weights of all ones.
+    is formed: the pairs are None.  Its input gradient equals, bit for bit,
+    the one returned for weights of all ones.
+
+    `buffers` is a `walk_buffers(model, rows)` set that the caller owns and
+    may pass again on the next call (a PGD attack reuses one for all its
+    steps); without it a fresh set is allocated.  The walk overwrites every
+    entry before reading it, so nothing of an earlier call leaks in, and
+    the returned gradients are fresh arrays that never alias the set.
     """
-    weighted = loss_weights is not None
-    logits, inputs, masks = _walk(model, features, keep_inputs=weighted)
+    if buffers is None:
+        buffers = walk_buffers(model, features.shape[0])
+    outputs, masks = buffers
+    logits = _walk(model, features, outputs, masks)
     labels = check_labels(labels, *logits.shape)
+    weighted = loss_weights is not None
     if weighted:
         loss_weights = np.asarray(loss_weights, dtype=np.float64)
         if loss_weights.shape != labels.shape:
             raise ValueError(f"loss weights {loss_weights.shape} do not match labels {labels.shape}")
 
-    # softmax cross-entropy head
-    shift = np.max(logits, axis=1, keepdims=True)
-    exp = np.exp(logits - shift)
-    delta = exp / np.sum(exp, axis=1, keepdims=True)
+    # softmax cross-entropy head, in the logits' own buffer
+    delta = logits
+    delta -= np.max(delta, axis=1, keepdims=True)
+    np.exp(delta, out=delta)
+    delta /= np.sum(delta, axis=1, keepdims=True)
     delta[np.arange(labels.size), labels - 1] -= 1.0
 
     grads = None
     if weighted:
         delta *= loss_weights[:, None]
         grads = [None] * len(model.layers)
-    for idx in range(len(model.layers) - 1, -1, -1):
+    for idx in range(len(model.layers) - 1, 0, -1):
+        # layer idx's input is layer idx - 1's output: read it, then overwrite it
         if weighted:
-            grads[idx] = (delta.T @ inputs[idx], np.sum(delta, axis=0))
-        delta = delta @ model.layers[idx][0]
-        if idx > 0:
-            delta *= masks[idx - 1]
-    return grads, delta
+            grads[idx] = (delta.T @ outputs[idx - 1], np.sum(delta, axis=0))
+        delta = np.matmul(delta, model.layers[idx][0], out=outputs[idx - 1])
+        delta *= masks[idx - 1]
+    if weighted:
+        grads[0] = (delta.T @ features, np.sum(delta, axis=0))
+    return grads, delta @ model.layers[0][0]
 
 
 def sgd_step(

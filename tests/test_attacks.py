@@ -10,9 +10,11 @@ from codat.attacks import AttackConfig, feasible_box, pgd_attack
 from codat.data import LabeledBatch
 from codat.nn_engine import (
     ModelParams,
+    backward,
     cross_entropy_per_example,
     forward,
     init_model,
+    walk_buffers,
 )
 
 
@@ -293,6 +295,52 @@ def test_attack_output_bytes_are_pinned():
     assert hashlib.sha256(np.ascontiguousarray(out).tobytes()).hexdigest() == (
         "ec4bf0079f57efdcc6eaa9511d005fc560d5f71e27a03e43c760fe4f51bba1a1"
     )
+
+
+def fresh_walk_pgd(model, batch, cfg, seed):
+    """`pgd_attack` as a loop of `backward` calls that each walk a fresh set of buffers."""
+    lo, hi = feasible_box(batch.features, cfg.epsilon)
+    rng = np.random.default_rng(seed)
+    start = batch.features + rng.uniform(-cfg.epsilon, cfg.epsilon, size=batch.features.shape)
+    perturbed = np.clip(start, lo, hi)
+    for _ in range(cfg.steps):
+        _, input_grads = backward(model, perturbed, batch.labels)
+        perturbed = np.clip(perturbed + cfg.step_size * np.sign(input_grads), lo, hi)
+    return perturbed
+
+
+@pytest.mark.parametrize(
+    "dims",
+    [[2, 256, 256, 3], [2, 7, 3], [2, 3], [4, 16, 8, 5]],
+    ids=["toy3", "hidden7", "linear", "two_hidden"],
+)
+@pytest.mark.parametrize("rows", [1, 28, 64, 512])
+def test_attack_in_one_buffer_set_equals_fresh_walks_bit_for_bit(monkeypatch, dims, rows):
+    rng = np.random.default_rng(rows + len(dims))
+    sets = []
+
+    def stale(model, count):
+        # contents a fresh np.empty might hold: NaN outputs, arbitrary masks
+        outputs, masks = walk_buffers(model, count)
+        for output in outputs:
+            output.fill(np.nan)
+        for mask in masks:
+            mask[...] = rng.random(mask.shape) < 0.5
+        sets.append((outputs, masks))
+        return outputs, masks
+
+    monkeypatch.setattr(attacks, "walk_buffers", stale)
+    model = init_model(dims, seed=rows)
+    batch = random_batch(rng, rows, dims[0], dims[-1])
+    cfg = AttackConfig(epsilon=0.05, step_size=0.0125, steps=10)
+    expected = fresh_walk_pgd(model, batch, cfg, seed=rows)
+    first = pgd_attack(model, batch, cfg, seed=rows)
+    second = pgd_attack(model, batch, cfg, seed=rows)
+    assert len(sets) == 2  # one set per attack, reused by all ten steps
+    assert first.tobytes() == expected.tobytes()
+    assert second.tobytes() == first.tobytes()
+    for outputs, masks in sets:
+        assert not any(np.shares_memory(first, buffer) for buffer in outputs + masks)
 
 
 def test_attack_no_weaker_than_its_random_start_on_average():

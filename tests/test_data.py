@@ -101,6 +101,18 @@ def test_mixture_rejects_integer_fields_that_are_not_integers(name, value):
         MixtureSpec(**{**fields, name: value})
 
 
+def test_mixture_rejects_means_without_rows():
+    # gen_gaussian_mixture would fail in numpy: "need at least one array to concatenate"
+    with pytest.raises(ValueError, match="means must hold at least one class row"):
+        MixtureSpec(np.zeros((0, 2)), 1.0, 3, 0)
+
+
+def test_mixture_rejects_negative_seed():
+    # default_rng would fail on it: "expected non-negative integer"
+    with pytest.raises(ValueError, match="seed must be nonnegative"):
+        MixtureSpec(np.array([[0.0, 0.0], [1.0, 1.0]]), 1.0, 3, -1)
+
+
 def test_mixture_stores_numpy_integer_fields_as_int():
     spec = MixtureSpec(np.array([[0.0], [1.0]]), 1.0, np.int64(3), np.uint8(4))
     assert type(spec.samples_per_class) is int and type(spec.seed) is int

@@ -21,6 +21,7 @@ from codat.nn_engine import (
     params_digest,
     save_checkpoint,
     sgd_step,
+    walk_buffers,
 )
 
 
@@ -321,11 +322,38 @@ def traced_peak_mib(fn) -> float:
 
 
 def test_toy3_sized_passes_reuse_layer_temporaries():
-    # one 1 MiB layer output plus the next one while it is formed: 2 MiB;
+    # a fresh walk set: two 1 MiB layer outputs and two 128 KiB masks;
     # a fresh array for every bias add or rectifier would need 4 MiB
     model, batch, _ = toy3_sized_case()
     assert traced_peak_mib(lambda: backward(model, batch.features, batch.labels)) <= 2.5
     assert traced_peak_mib(lambda: forward(model, batch.features)) <= 2.5
+
+
+def test_toy3_sized_backward_in_a_handed_set_allocates_no_layer_array():
+    model, batch, _ = toy3_sized_case()
+    buffers = walk_buffers(model, 512)
+    peak = traced_peak_mib(lambda: backward(model, batch.features, batch.labels, buffers=buffers))
+    assert peak <= 0.1
+
+
+def test_weighted_backward_in_a_reused_stale_set_equals_a_fresh_one():
+    # the attack's reuse of one set is checked in tests/test_attacks.py
+    model, batch, weights = toy3_sized_case()
+    expected_grads, expected_input = backward(model, batch.features, batch.labels, weights)
+    buffers = walk_buffers(model, 512)
+    for output in buffers[0]:
+        output.fill(np.nan)
+    for mask in buffers[1]:
+        mask.fill(True)
+    for _ in range(2):
+        grads, input_grads = backward(model, batch.features, batch.labels, weights, buffers)
+        returned = [input_grads]
+        assert input_grads.tobytes() == expected_input.tobytes()
+        for (gw, gb), (ew, eb) in zip(grads, expected_grads):
+            assert gw.tobytes() == ew.tobytes() and gb.tobytes() == eb.tobytes()
+            returned += [gw, gb]
+        for array in returned:
+            assert not any(np.shares_memory(array, buffer) for buffer in buffers[0])
 
 
 def test_toy3_sized_outputs_are_pinned():

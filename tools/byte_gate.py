@@ -10,6 +10,9 @@ scratch directory with single-threaded BLAS, on small toy3 runs:
   (every batch of the runs above holds all three classes);
 - `train` on CSV splits (toy3 data written by `codat.data.save_csv`) and on
   a small IDX image/label pair packed with `struct`;
+- `train` with one 7-unit hidden layer (`--hidden-dims 7`) and with no
+  hidden layer (`--hidden-dims ""`), so walks at depths other than the
+  toy3 2-256-256-3 model are hashed;
 - `evaluate` with `--attack pgd` and `--attack none`, and `attack`, on one
   checkpoint, and `evaluate --test-csv` on the CSV run's checkpoint;
 - `evaluate --attack pgd` and `attack` on a 1200-row test split, so the
@@ -98,6 +101,8 @@ MATRIX = [
     ),
     ("train_csv", ["train", *SIZE, *CSV_DATA, "--out-root", "csv_runs"]),
     ("train_idx", ["train", *SIZE, *IDX_DATA, "--out-root", "idx_runs"]),
+    ("train_hidden7", ["train", *SIZE, "--hidden-dims", "7", "--out-root", "hidden7_runs"]),
+    ("train_linear", ["train", *SIZE, "--hidden-dims", "", "--out-root", "linear_runs"]),
     (
         "evaluate_csv",
         [
