@@ -21,7 +21,7 @@ import numpy as np
 
 from .attacks import AttackConfig, pgd_attack
 from .data import Dataset, LabeledBatch, batch_iter
-from .nn_engine import ModelParams, check_artifact, forward
+from .nn_engine import ModelParams, check_artifact, forward, read_json
 
 REPORT_FORMAT = "codat-eval-report"
 REPORT_VERSION = 1
@@ -123,8 +123,7 @@ class EvalReport:
 
     @staticmethod
     def load(path) -> "EvalReport":
-        with open(path, "r", encoding="utf-8") as fh:
-            return EvalReport.from_dict(json.load(fh))
+        return EvalReport.from_dict(read_json(path))
 
 
 def artifact_json(payload) -> str:

@@ -16,6 +16,14 @@ came from.  `forward`, and `backward` unless handed a set, allocate a fresh
 set per call, so a 512-row pass through the toy3 256-unit layers holds about
 2.3 MiB of buffers.  The returned logits, weight gradients and input
 gradients never alias a set that a caller reuses.
+
+`forward` and the unweighted `backward` run the hidden layers of a pass of
+`SPLIT_MIN_ROWS` or more rows in two row halves at once (`_by_rows`): the
+caller's thread takes the first half and one daemon worker thread, started
+at the first split, the second, both writing row slices of the same walk
+set.  The output-layer product, the softmax head and the input-gradient
+product run whole on the caller's thread.  A split keeps every bit, and
+only hidden widths for which that was checked split.
 """
 
 from __future__ import annotations
@@ -23,12 +31,17 @@ from __future__ import annotations
 import hashlib
 import json
 import numbers
+import os
+import queue
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 CHECKPOINT_FORMAT = "codat-checkpoint"
 CHECKPOINT_VERSION = 1
+# below this many rows a second thread costs more than its half saves
+SPLIT_MIN_ROWS = 256
 
 
 @dataclass
@@ -91,25 +104,103 @@ def walk_buffers(model: ModelParams, rows: int) -> tuple[list[np.ndarray], list[
     return outputs, masks
 
 
-def _walk(model: ModelParams, features: np.ndarray, outputs, masks) -> np.ndarray:
-    """Write one pass into `outputs` and `masks`; returns the logits, `outputs[-1]`."""
+class _RowHalves:
+    """One daemon thread that runs the second row half of a split pass.
+
+    The thread starts on the first split, and a forked child, which has no
+    copy of it, starts its own.  Each job carries its own reply queue, so
+    callers on several threads may share the worker.  A job is a closure,
+    never a module-level function, so a tracer that wraps module functions
+    sees only the calling thread.
+    """
+
+    def __init__(self):
+        self._jobs = None
+
+    def run(self, job, rows: int) -> None:
+        """`job(slice)` on the first half here and on the second half there; waits for both."""
+        if self._jobs is None:
+            self._jobs = queue.SimpleQueue()
+            threading.Thread(target=self._serve, args=(self._jobs,), daemon=True).start()
+        half = rows // 2
+        done = queue.SimpleQueue()
+        self._jobs.put((job, slice(half, rows), done))
+        try:
+            job(slice(0, half))
+        finally:
+            error = done.get()
+        if error is not None:
+            raise error
+
+    def forget(self) -> None:
+        self._jobs = None
+
+    @staticmethod
+    def _serve(jobs) -> None:
+        while True:
+            job, rows, done = jobs.get()
+            error = None
+            try:
+                job(rows)
+            except BaseException as exc:  # re-raised on the calling thread
+                error = exc
+            # the job holds the caller's walk set: let it go before the caller
+            # resumes, or the set outlives the call until the next split
+            del job
+            done.put(error)
+
+
+_HALVES = _RowHalves()
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_HALVES.forget)
+
+
+def _by_rows(model: ModelParams, job, rows: int) -> None:
+    """Run `job(slice)` over all `rows`, in two row halves at once where that keeps every bit.
+
+    A split needs `SPLIT_MIN_ROWS` rows and hidden widths that are multiples
+    of 8 from 16 up: under OpenBLAS, products of some other widths (12 and
+    300 among them) round their last bits differently at some row counts.
+    """
+    if rows >= SPLIT_MIN_ROWS:
+        widths = model.layer_dims[1:-1]
+        if widths and all(width >= 16 and width % 8 == 0 for width in widths):
+            _HALVES.run(job, rows)
+            return
+    job(slice(None))
+
+
+def _walk(model: ModelParams, features: np.ndarray, outputs, masks, split: bool) -> np.ndarray:
+    """Write one pass into `outputs` and `masks`; returns the logits, `outputs[-1]`.
+
+    With `split`, the hidden layers may run in two row halves at once (`_by_rows`).
+    """
     if features.ndim != 2 or features.shape[1] != model.input_dim:
         raise ValueError(f"features {features.shape} do not fit model input dim {model.input_dim}")
-    activation = features
     last = len(model.layers) - 1
-    for idx, (weight, bias) in enumerate(model.layers):
-        output = np.matmul(activation, weight.T, out=outputs[idx])
-        output += bias
-        if idx != last:
-            np.greater(output, 0.0, out=masks[idx])
+
+    def hidden(rows: slice) -> None:
+        activation = features[rows]
+        for idx, (weight, bias) in enumerate(model.layers[:last]):
+            output = np.matmul(activation, weight.T, out=outputs[idx][rows])
+            output += bias
+            np.greater(output, 0.0, out=masks[idx][rows])
             np.maximum(output, 0.0, out=output)
-        activation = output
-    return activation
+            activation = output
+
+    if split:
+        _by_rows(model, hidden, features.shape[0])
+    else:
+        hidden(slice(None))
+    weight, bias = model.layers[last]
+    logits = np.matmul(outputs[last - 1] if last else features, weight.T, out=outputs[last])
+    logits += bias
+    return logits
 
 
 def forward(model: ModelParams, features: np.ndarray) -> np.ndarray:
     """Logits for every feature row; rectifier between layers, identity at output."""
-    return _walk(model, features, *walk_buffers(model, features.shape[0]))
+    return _walk(model, features, *walk_buffers(model, features.shape[0]), split=True)
 
 
 def check_labels(labels, rows: int, num_classes: int) -> np.ndarray:
@@ -172,13 +263,18 @@ def backward(
     steps); without it a fresh set is allocated.  The walk overwrites every
     entry before reading it, so nothing of an earlier call leaks in, and
     the returned gradients are fresh arrays that never alias the set.
+
+    Without `loss_weights`, the walk's hidden layers and the sweep from the
+    output layer's weight down to layer 1 may each run in two row halves at
+    once (`_by_rows`), with the same bytes.  The weighted pass never splits:
+    its weight gradients sum over all rows.
     """
     if buffers is None:
         buffers = walk_buffers(model, features.shape[0])
     outputs, masks = buffers
-    logits = _walk(model, features, outputs, masks)
-    labels = check_labels(labels, *logits.shape)
     weighted = loss_weights is not None
+    logits = _walk(model, features, outputs, masks, split=not weighted)
+    labels = check_labels(labels, *logits.shape)
     if weighted:
         loss_weights = np.asarray(loss_weights, dtype=np.float64)
         if loss_weights.shape != labels.shape:
@@ -191,19 +287,25 @@ def backward(
     delta /= np.sum(delta, axis=1, keepdims=True)
     delta[np.arange(labels.size), labels - 1] -= 1.0
 
-    grads = None
+    last = len(model.layers) - 1
+    grads = [None] * len(model.layers) if weighted else None
+
+    def sweep(rows: slice) -> None:
+        delta = outputs[last][rows]
+        for idx in range(last, 0, -1):
+            # layer idx's input is layer idx - 1's output: read it, then overwrite it
+            if grads is not None:
+                grads[idx] = (delta.T @ outputs[idx - 1], np.sum(delta, axis=0))
+            delta = np.matmul(delta, model.layers[idx][0], out=outputs[idx - 1][rows])
+            delta *= masks[idx - 1][rows]
+
     if weighted:
         delta *= loss_weights[:, None]
-        grads = [None] * len(model.layers)
-    for idx in range(len(model.layers) - 1, 0, -1):
-        # layer idx's input is layer idx - 1's output: read it, then overwrite it
-        if weighted:
-            grads[idx] = (delta.T @ outputs[idx - 1], np.sum(delta, axis=0))
-        delta = np.matmul(delta, model.layers[idx][0], out=outputs[idx - 1])
-        delta *= masks[idx - 1]
-    if weighted:
-        grads[0] = (delta.T @ features, np.sum(delta, axis=0))
-    return grads, delta @ model.layers[0][0]
+        sweep(slice(None))
+        grads[0] = (outputs[0].T @ features, np.sum(outputs[0], axis=0))
+    else:
+        _by_rows(model, sweep, labels.size)
+    return grads, outputs[0] @ model.layers[0][0]
 
 
 def sgd_step(
@@ -278,10 +380,18 @@ def check_artifact(payload, kind: str, fmt: str, version: int, keys: tuple[str, 
         raise ValueError(f"{kind} lacks keys {', '.join(missing)}")
 
 
+def read_json(path):
+    """The JSON value in the UTF-8 file at `path`; a ValueError naming the path if it is not one."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except ValueError as exc:  # a JSONDecodeError or a UnicodeDecodeError
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def load_checkpoint(path) -> tuple[ModelParams, int, str]:
     """Read a checkpoint written by `save_checkpoint`; returns (model, seed, config_hash)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
+    payload = read_json(path)
     keys = ("layer_dims", "weights", "biases", "seed", "config_hash")
     check_artifact(payload, "model checkpoint", CHECKPOINT_FORMAT, CHECKPOINT_VERSION, keys)
     if payload.get("dtype", "float64") != "float64":

@@ -145,18 +145,25 @@ class TrainHistory:
         header = None
         records = []
         with open(path, "r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
+            try:
+                lines = fh.readlines()
+            except UnicodeDecodeError as exc:
+                raise ValueError(f"{path}: {exc}") from None
+        for lineno, line in enumerate(lines, start=1):
+            try:
                 payload = json.loads(line)
-                kind = payload.pop("type", None) if isinstance(payload, dict) else None
-                if kind == "header":
-                    header = payload
-                elif kind == "epoch":
-                    try:
-                        records.append(EpochRecord(**payload))
-                    except TypeError as exc:  # an unknown or a missing key
-                        raise ValueError(f"{path}:{lineno}: bad epoch record: {exc}") from None
-                else:
-                    raise ValueError(f"{path}:{lineno}: unknown history line type {kind!r}")
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
+            kind = payload.pop("type", None) if isinstance(payload, dict) else None
+            if kind == "header":
+                header = payload
+            elif kind == "epoch":
+                try:
+                    records.append(EpochRecord(**payload))
+                except TypeError as exc:  # an unknown or a missing key
+                    raise ValueError(f"{path}:{lineno}: bad epoch record: {exc}") from None
+            else:
+                raise ValueError(f"{path}:{lineno}: unknown history line type {kind!r}")
         if header is None:
             raise ValueError(f"{path}: missing history header")
         check_artifact(header, "training history", HISTORY_FORMAT, HISTORY_VERSION, ())

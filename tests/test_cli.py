@@ -389,6 +389,19 @@ class TestEvaluateCommand:
         assert err.startswith("error: ")
         assert "lacks keys layer_dims, weights, biases, seed, config_hash" in err
 
+    @pytest.mark.parametrize(
+        "content, message",
+        [(b'{"format": "codat-checkpoint", ', "Expecting property name"), (b"\xff{}", "utf-8")],
+        ids=["truncated", "not_utf8"],
+    )
+    def test_unreadable_checkpoint_error_names_the_file(self, tmp_path, capsys, content, message):
+        checkpoint = tmp_path / "broken.json"
+        checkpoint.write_bytes(content)
+        rc = main(["evaluate", "--checkpoint", str(checkpoint), "--preset", "toy3"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {checkpoint}: ") and message in err
+
     def test_checkpoint_that_is_not_an_object_is_clean_error(self, tmp_path, capsys):
         checkpoint = tmp_path / "list.json"
         checkpoint.write_text("[1, 2, 3]", encoding="utf-8")

@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 
 import numpy as np
 import pytest
@@ -187,6 +188,13 @@ def test_report_load_rejects_foreign_payload(tmp_path):
     path = tmp_path / "other.json"
     path.write_text('{"format": "unrelated"}')
     with pytest.raises(ValueError, match="format"):
+        EvalReport.load(path)
+
+
+def test_report_load_names_a_file_that_is_not_json(tmp_path):
+    path = tmp_path / "notes.txt"
+    path.write_text("plain text\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: Expecting value: line 1"):
         EvalReport.load(path)
 
 

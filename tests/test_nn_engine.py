@@ -1,14 +1,22 @@
 import hashlib
 import json
 import math
+import os
+import signal
+import sys
+import time
 import tracemalloc
+import weakref
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from codat import nn_engine
+from codat.attacks import AttackConfig, pgd_attack
 from codat.data import LabeledBatch
 from codat.nn_engine import (
     ModelParams,
@@ -370,6 +378,138 @@ def test_toy3_sized_outputs_are_pinned():
     assert hashlib.sha256(forward(model, batch.features).tobytes()).hexdigest() == (
         "9cccfd9a9a0aa3a083f6c9434cbf4a16171ec84e6b20b341ae112efa294537ff"
     )
+
+
+# ------------------------------------------------- hidden layers by rows
+
+
+@contextmanager
+def one_thread():
+    """Every pass on the calling thread: no row count reaches the split threshold."""
+    saved = nn_engine.SPLIT_MIN_ROWS
+    nn_engine.SPLIT_MIN_ROWS = sys.maxsize
+    try:
+        yield
+    finally:
+        nn_engine.SPLIT_MIN_ROWS = saved
+
+
+def split_outputs(model, batch, seed):
+    """Forward logits, the unweighted input gradient and a 2-step PGD attack's rows."""
+    attack = AttackConfig(epsilon=0.1, step_size=0.05, steps=2)
+    return (
+        forward(model, batch.features),
+        backward(model, batch.features, batch.labels)[1],
+        pgd_attack(model, batch, attack, seed),
+    )
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(
+    input_dim=st.integers(1, 10),
+    hidden=st.lists(st.integers(2, 64).map(lambda units: 8 * units), min_size=1, max_size=3),
+    num_classes=st.integers(2, 10),
+    rows=st.integers(256, 1200),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(input_dim=1, hidden=[16], num_classes=2, rows=257, seed=1)
+@example(input_dim=10, hidden=[512, 512, 512], num_classes=10, rows=1199, seed=2)
+def test_row_split_equals_one_thread_bit_for_bit(input_dim, hidden, num_classes, rows, seed):
+    rng = np.random.default_rng(seed)
+    model = init_model([input_dim, *hidden, num_classes], seed=seed)
+    batch = make_batch(rng, rows, input_dim, num_classes)
+    got = split_outputs(model, batch, seed)
+    with one_thread():
+        expected = split_outputs(model, batch, seed)
+    for array, reference in zip(got, expected):
+        assert array.tobytes() == reference.tobytes()
+
+
+@pytest.mark.parametrize(
+    "dims, rows, weighted, splits",
+    [
+        ([2, 8, 3], 512, False, 0),
+        ([2, 12, 3], 512, False, 0),
+        ([2, 100, 3], 512, False, 0),
+        ([2, 16, 12, 3], 512, False, 0),
+        ([2, 16, 16, 3], 255, False, 0),
+        ([2, 256, 256, 3], 512, True, 0),
+        ([2, 16, 16, 3], 256, False, 2),
+        ([2, 256, 256, 3], 512, False, 2),
+    ],
+    ids=["width8", "width12", "width100", "one_width12", "rows255", "weighted", "rows256",
+         "toy3"],
+)
+def test_worker_takes_only_the_shapes_the_guard_accepts(monkeypatch, dims, rows, weighted, splits):
+    # `splits` counts the unweighted backward's walk and sweep; forward adds one more if any
+    calls = []
+
+    def record(job, rows):
+        calls.append(rows)
+        job(slice(None))
+
+    monkeypatch.setattr(nn_engine._HALVES, "run", record)
+    rng = np.random.default_rng(0)
+    model = init_model(dims, seed=0)
+    batch = make_batch(rng, rows, dims[0], dims[-1])
+    backward(model, batch.features, batch.labels, np.ones(rows) if weighted else None)
+    assert len(calls) == splits
+    if not weighted:
+        forward(model, batch.features)
+        assert len(calls) == splits + (splits > 0)
+
+
+def test_split_pass_waits_for_both_halves_and_raises_either_error():
+    for failing in (0, 256):  # the caller's half, then the worker's
+        finished = []
+
+        def job(rows):
+            if rows.start != failing:
+                time.sleep(0.05)  # the half that succeeds finishes last
+            finished.append(rows.start)
+            if rows.start == failing:
+                raise RuntimeError(f"half from row {failing}")
+
+        with pytest.raises(RuntimeError, match=f"half from row {failing}"):
+            nn_engine._HALVES.run(job, 512)
+        assert sorted(finished) == [0, 256]
+
+
+def test_split_pass_leaves_no_reference_to_its_walk_set():
+    # a walk set the worker held on to would stay alive beside the next call's set
+    model, batch, _ = toy3_sized_case()
+    buffers = walk_buffers(model, 512)
+    backward(model, batch.features, batch.labels, buffers=buffers)
+    refs = [weakref.ref(array) for array in buffers[0] + buffers[1]]
+    del buffers
+    assert all(ref() is None for ref in refs)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_forked_child_runs_a_split_pass_after_its_parent():
+    model, batch, _ = toy3_sized_case()
+    _, expected = backward(model, batch.features, batch.labels)  # starts the parent's worker
+    read_end, write_end = os.pipe()
+    pid = os.fork()
+    if pid == 0:  # the child: one split pass, its digest to the pipe, no pytest teardown
+        code = 1
+        try:
+            _, got = backward(model, batch.features, batch.labels)
+            os.write(write_end, hashlib.sha256(got.tobytes()).digest())
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write_end)
+    deadline = time.monotonic() + 60.0
+    while (status := os.waitpid(pid, os.WNOHANG))[0] == 0:
+        if time.monotonic() > deadline:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pytest.fail("the forked child did not finish its split pass")
+        time.sleep(0.01)
+    assert os.waitstatus_to_exitcode(status[1]) == 0
+    with os.fdopen(read_end, "rb") as pipe:
+        assert pipe.read() == hashlib.sha256(expected.tobytes()).digest()
 
 
 # ------------------------------------------------------------ optimizer

@@ -502,6 +502,12 @@ class TestTrainingLoop:
         with pytest.raises(ValueError, match=r"history\.jsonl:2: " + message):
             TrainHistory.load_jsonl(path)
 
+    def test_blank_line_names_its_line(self, tmp_path):
+        path = self.rewritten_history(tmp_path, 1, lambda header: header)
+        path.write_text(path.read_text(encoding="utf-8").replace("\n", "\n\n", 1), encoding="utf-8")
+        with pytest.raises(ValueError, match=r"history\.jsonl:2: Expecting value"):
+            TrainHistory.load_jsonl(path)
+
     def test_final_epoch_attention_tracks_risk(self):
         data = small_dataset(per_class=100, seed=2)
         cfg = make_config("codat", eta=0.5, epochs=5, batch_size=64)

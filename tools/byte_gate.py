@@ -13,6 +13,11 @@ scratch directory with single-threaded BLAS, on small toy3 runs:
 - `train` with one 7-unit hidden layer (`--hidden-dims 7`) and with no
   hidden layer (`--hidden-dims ""`), so walks at depths other than the
   toy3 2-256-256-3 model are hashed;
+- `train` with `--test-per-class 200`, so the final PGD evaluation runs a
+  512-row batch, at hidden widths 64 and 128 (`--hidden-dims 64,128`),
+  whose hidden layers are split across two threads by rows, and at one
+  12-unit hidden layer (`--hidden-dims 12`), whose width keeps the pass on
+  one thread;
 - `evaluate` with `--attack pgd` and `--attack none`, and `attack`, on one
   checkpoint, and `evaluate --test-csv` on the CSV run's checkpoint;
 - `evaluate --attack pgd` and `attack` on a 1200-row test split, so the
@@ -103,6 +108,20 @@ MATRIX = [
     ("train_idx", ["train", *SIZE, *IDX_DATA, "--out-root", "idx_runs"]),
     ("train_hidden7", ["train", *SIZE, "--hidden-dims", "7", "--out-root", "hidden7_runs"]),
     ("train_linear", ["train", *SIZE, "--hidden-dims", "", "--out-root", "linear_runs"]),
+    (
+        "train_test600_hidden64_128",
+        [
+            "train", *SIZE, "--test-per-class", "200", "--hidden-dims", "64,128",
+            "--out-root", "hidden64_128_runs",
+        ],
+    ),
+    (
+        "train_test600_hidden12",
+        [
+            "train", *SIZE, "--test-per-class", "200", "--hidden-dims", "12",
+            "--out-root", "hidden12_runs",
+        ],
+    ),
     (
         "evaluate_csv",
         [
