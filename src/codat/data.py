@@ -285,8 +285,8 @@ def save_csv(dataset: Dataset, path) -> None:
             writer.writerow([repr(v) for v in row.tolist()] + [int(label)])
 
 
-def batch_iter(dataset: Dataset, batch_size: int, seed, shuffle: bool = True, epoch: int = 0):
-    """Yield LabeledBatch minibatches covering the dataset exactly once.
+def batch_iter(dataset: Dataset, batch_size: int, seed, epoch: int = 0):
+    """Yield shuffled LabeledBatch minibatches covering the dataset exactly once.
 
     The permutation is a pure function of (seed, epoch); the final short
     batch is emitted rather than dropped.  Each batch is its rows' one
@@ -294,10 +294,7 @@ def batch_iter(dataset: Dataset, batch_size: int, seed, shuffle: bool = True, ep
     """
     if batch_size < 1:
         raise ValueError(f"batch size must be at least 1, got {batch_size}")
-    if shuffle:
-        order = np.random.default_rng((seed, epoch)).permutation(dataset.size)
-    else:
-        order = np.arange(dataset.size)
+    order = np.random.default_rng((seed, epoch)).permutation(dataset.size)
     for start in range(0, dataset.size, batch_size):
         rows = order[start : start + batch_size]
         yield LabeledBatch(dataset.features[rows], dataset.labels[rows])

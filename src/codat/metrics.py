@@ -20,8 +20,8 @@ from pathlib import Path
 import numpy as np
 
 from .attacks import AttackConfig, pgd_attack
-from .data import Dataset, LabeledBatch, batch_iter
-from .nn_engine import ModelParams, check_artifact, forward, read_json
+from .data import Dataset, LabeledBatch
+from .nn_engine import ModelParams, check_artifact, check_labels, forward, read_json
 
 REPORT_FORMAT = "codat-eval-report"
 REPORT_VERSION = 1
@@ -144,12 +144,14 @@ def class_variance(per_class_accuracy) -> float:
 def evaluated_batches(
     model: ModelParams, data: Dataset, attack: AttackConfig | None, seed: int
 ) -> Iterator[tuple[LabeledBatch, np.ndarray, np.ndarray]]:
-    """(batch, features, logits) for each unshuffled 512-row batch of `data`.
+    """(batch, features, logits) for each 512-row batch of `data`, in row order.
 
     With an attack the features are PGD's output under seed (seed, batch
     index).  Raises RuntimeError on a non-finite logit: the model has diverged.
     """
-    for idx, batch in enumerate(batch_iter(data, _EVAL_BATCH, seed=0, shuffle=False)):
+    for idx, start in enumerate(range(0, data.size, _EVAL_BATCH)):
+        rows = slice(start, start + _EVAL_BATCH)
+        batch = LabeledBatch(data.features[rows], data.labels[rows])
         feats = batch.features if attack is None else pgd_attack(model, batch, attack, (seed, idx))
         logits = forward(model, feats)
         if not np.all(np.isfinite(logits)):
@@ -163,19 +165,16 @@ def evaluate(
     """Accuracy report on `data`, optionally under the PGD attack.
 
     Deterministic for a fixed seed; the batches, their attack seeds and the
-    divergence check come from `evaluated_batches`.  Every class must appear.
+    divergence check come from `evaluated_batches`.  Every model class must appear.
     """
-    num_classes = data.num_classes
-    missing = np.nonzero(data.class_counts == 0)[0]
+    num_classes = model.num_classes
+    labels = check_labels(data.labels, data.size, num_classes)
+    missing = np.flatnonzero(np.bincount(labels, minlength=num_classes + 1)[1:] == 0)
     if missing.size:
         raise ValueError(f"class {missing[0] + 1} has no examples in the evaluation data")
     cells = []
     for batch, _, logits in evaluated_batches(model, data, attack, seed):
         predictions = np.argmax(logits, axis=1)
-        if np.max(predictions) >= num_classes:
-            raise ValueError(
-                f"model predicts class {np.max(predictions) + 1}; data has {num_classes} classes"
-            )
         # row-major cell index of (true class, predicted class), both 0-based
         cells.append((batch.labels - 1) * num_classes + predictions)
     confusion = np.bincount(np.concatenate(cells), minlength=num_classes * num_classes).reshape(

@@ -17,13 +17,14 @@ set per call, so a 512-row pass through the toy3 256-unit layers holds about
 2.3 MiB of buffers.  The returned logits, weight gradients and input
 gradients never alias a set that a caller reuses.
 
-`forward` and the unweighted `backward` run the hidden layers of a pass of
-`SPLIT_MIN_ROWS` or more rows in two row halves at once (`_by_rows`): the
-caller's thread takes the first half and one daemon worker thread, started
-at the first split, the second, both writing row slices of the same walk
-set.  The output-layer product, the softmax head and the input-gradient
-product run whole on the caller's thread.  A split keeps every bit, and
-only hidden widths for which that was checked split.
+Every pass hands its hidden layers, and the unweighted `backward` its sweep,
+to `_by_rows`, whose guard alone decides from the row count and widths
+whether they run in two row halves at once: the caller's thread takes the
+first and one daemon worker thread, started at the first split, the second,
+both in one walk set.  The weighted sweep, which sums weight gradients over
+rows, and the output-layer, softmax and input-gradient steps run whole on
+the caller's thread.  A split keeps every bit; only widths for which that
+was checked split.
 """
 
 from __future__ import annotations
@@ -170,13 +171,15 @@ def _by_rows(model: ModelParams, job, rows: int) -> None:
     job(slice(None))
 
 
-def _walk(model: ModelParams, features: np.ndarray, outputs, masks, split: bool) -> np.ndarray:
+def _walk(model: ModelParams, features: np.ndarray, outputs, masks) -> np.ndarray:
     """Write one pass into `outputs` and `masks`; returns the logits, `outputs[-1]`.
 
-    With `split`, the hidden layers may run in two row halves at once (`_by_rows`).
+    The hidden layers go to `_by_rows`, which may run them in two row halves at once.
     """
     if features.ndim != 2 or features.shape[1] != model.input_dim:
         raise ValueError(f"features {features.shape} do not fit model input dim {model.input_dim}")
+    if features.shape[0] == 0:
+        raise ValueError("a pass needs at least one row, got 0")
     last = len(model.layers) - 1
 
     def hidden(rows: slice) -> None:
@@ -188,10 +191,7 @@ def _walk(model: ModelParams, features: np.ndarray, outputs, masks, split: bool)
             np.maximum(output, 0.0, out=output)
             activation = output
 
-    if split:
-        _by_rows(model, hidden, features.shape[0])
-    else:
-        hidden(slice(None))
+    _by_rows(model, hidden, features.shape[0])
     weight, bias = model.layers[last]
     logits = np.matmul(outputs[last - 1] if last else features, weight.T, out=outputs[last])
     logits += bias
@@ -200,7 +200,7 @@ def _walk(model: ModelParams, features: np.ndarray, outputs, masks, split: bool)
 
 def forward(model: ModelParams, features: np.ndarray) -> np.ndarray:
     """Logits for every feature row; rectifier between layers, identity at output."""
-    return _walk(model, features, *walk_buffers(model, features.shape[0]), split=True)
+    return _walk(model, features, *walk_buffers(model, features.shape[0]))
 
 
 def check_labels(labels, rows: int, num_classes: int) -> np.ndarray:
@@ -210,6 +210,8 @@ def check_labels(labels, rows: int, num_classes: int) -> np.ndarray:
     one fails to index and a bool one (not an integer dtype) reads as 0 or 1.
     """
     labels = np.asarray(labels)
+    if rows == 0:
+        raise ValueError("a pass needs at least one row, got 0")
     if labels.shape != (rows,):
         raise ValueError(f"{rows} rows and labels {labels.shape} do not pair")
     if not np.issubdtype(labels.dtype, np.integer):
@@ -264,16 +266,16 @@ def backward(
     entry before reading it, so nothing of an earlier call leaks in, and
     the returned gradients are fresh arrays that never alias the set.
 
-    Without `loss_weights`, the walk's hidden layers and the sweep from the
-    output layer's weight down to layer 1 may each run in two row halves at
-    once (`_by_rows`), with the same bytes.  The weighted pass never splits:
-    its weight gradients sum over all rows.
+    The walk's hidden layers may run in two row halves at once (`_by_rows`),
+    with the same bytes, and without `loss_weights` so may the sweep from
+    the output layer's weight down to layer 1.  The weighted sweep runs
+    whole: its weight gradients sum over all rows.
     """
     if buffers is None:
         buffers = walk_buffers(model, features.shape[0])
     outputs, masks = buffers
     weighted = loss_weights is not None
-    logits = _walk(model, features, outputs, masks, split=not weighted)
+    logits = _walk(model, features, outputs, masks)
     labels = check_labels(labels, *logits.shape)
     if weighted:
         loss_weights = np.asarray(loss_weights, dtype=np.float64)

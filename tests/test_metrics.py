@@ -117,10 +117,19 @@ def test_twenty_class_confusion_is_exact_with_narrow_labels():
 
 
 def test_evaluate_rejects_predictions_beyond_the_data_classes():
-    # a 3-output model on 2-class data: its third class has no confusion row
-    model = ModelParams([(np.eye(3)[:, :2], np.array([0.0, 0.0, 5.0]))])
+    # a 3-output model on 2-class data: its third class has no confusion row,
+    # whether the model predicts that class (bias 5) or never does (bias -5)
     data = Dataset(np.full((2, 2), 0.5), np.array([1, 2]), "test")
-    with pytest.raises(ValueError, match="predicts class 3"):
+    for top_bias in (5.0, -5.0):
+        model = ModelParams([(np.eye(3)[:, :2], np.array([0.0, 0.0, top_bias]))])
+        with pytest.raises(ValueError, match="class 3 has no examples"):
+            evaluate(model, data)
+
+
+def test_evaluate_rejects_labels_beyond_the_model_classes():
+    model = init_model([2, 3], seed=0)
+    data = Dataset(np.full((4, 2), 0.5), np.array([1, 2, 3, 4]), "test")
+    with pytest.raises(ValueError, match=r"labels must lie in \[1, 3\], got range \[1, 4\]"):
         evaluate(model, data)
 
 

@@ -1,9 +1,12 @@
+import functools
 import hashlib
+import inspect
 import json
 import math
 import os
 import signal
 import sys
+import threading
 import time
 import tracemalloc
 import weakref
@@ -15,9 +18,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from codat import nn_engine
+from codat import attacks, metrics, nn_engine
 from codat.attacks import AttackConfig, pgd_attack
-from codat.data import LabeledBatch
+from codat.data import LabeledBatch, gen_gaussian_mixture, toy3_spec
 from codat.nn_engine import (
     ModelParams,
     backward,
@@ -395,11 +398,15 @@ def one_thread():
 
 
 def split_outputs(model, batch, seed):
-    """Forward logits, the unweighted input gradient and a 2-step PGD attack's rows."""
+    """Forward logits, both backward modes' gradients and a 2-step PGD attack's rows."""
     attack = AttackConfig(epsilon=0.1, step_size=0.05, steps=2)
+    weights = np.random.default_rng(seed).uniform(0.1, 1.0, size=batch.size)
+    grads, weighted_input_grads = backward(model, batch.features, batch.labels, weights)
     return (
         forward(model, batch.features),
         backward(model, batch.features, batch.labels)[1],
+        *(array for pair in grads for array in pair),
+        weighted_input_grads,
         pgd_attack(model, batch, attack, seed),
     )
 
@@ -433,7 +440,7 @@ def test_row_split_equals_one_thread_bit_for_bit(input_dim, hidden, num_classes,
         ([2, 100, 3], 512, False, 0),
         ([2, 16, 12, 3], 512, False, 0),
         ([2, 16, 16, 3], 255, False, 0),
-        ([2, 256, 256, 3], 512, True, 0),
+        ([2, 256, 256, 3], 512, True, 1),
         ([2, 16, 16, 3], 256, False, 2),
         ([2, 256, 256, 3], 512, False, 2),
     ],
@@ -441,7 +448,7 @@ def test_row_split_equals_one_thread_bit_for_bit(input_dim, hidden, num_classes,
          "toy3"],
 )
 def test_worker_takes_only_the_shapes_the_guard_accepts(monkeypatch, dims, rows, weighted, splits):
-    # `splits` counts the unweighted backward's walk and sweep; forward adds one more if any
+    # `splits` counts the backward's walk and, unweighted, its sweep; forward adds one more if any
     calls = []
 
     def record(job, rows):
@@ -454,9 +461,8 @@ def test_worker_takes_only_the_shapes_the_guard_accepts(monkeypatch, dims, rows,
     batch = make_batch(rng, rows, dims[0], dims[-1])
     backward(model, batch.features, batch.labels, np.ones(rows) if weighted else None)
     assert len(calls) == splits
-    if not weighted:
-        forward(model, batch.features)
-        assert len(calls) == splits + (splits > 0)
+    forward(model, batch.features)
+    assert len(calls) == splits + (splits > 0)
 
 
 def test_split_pass_waits_for_both_halves_and_raises_either_error():
@@ -483,6 +489,67 @@ def test_split_pass_leaves_no_reference_to_its_walk_set():
     refs = [weakref.ref(array) for array in buffers[0] + buffers[1]]
     del buffers
     assert all(ref() is None for ref in refs)
+
+
+def test_split_worker_runs_no_module_level_function(monkeypatch):
+    # a tracer that wraps every module function, as benchmarks/tracer.py does,
+    # keeps one span stack: a wrapped call on the worker would push onto it
+    modules = (nn_engine, attacks, metrics)
+    names = {module.__name__ for module in modules}
+    callers = []
+    wrappers = {}
+
+    def recorded(fn):
+        @functools.wraps(fn)
+        def call(*args, **kwargs):
+            callers.append(threading.get_ident())
+            return fn(*args, **kwargs)
+
+        return call
+
+    for module in modules:
+        for attr, value in list(vars(module).items()):
+            if inspect.isfunction(value) and value.__module__ in names:
+                if value not in wrappers:
+                    wrappers[value] = recorded(value)
+                monkeypatch.setattr(module, attr, wrappers[value])
+    halves = []
+    run = nn_engine._HALVES.run
+
+    def run_recorded(job, rows):
+        def half(part):
+            halves.append(threading.get_ident())
+            job(part)
+
+        run(half, rows)
+
+    monkeypatch.setattr(nn_engine._HALVES, "run", run_recorded)
+    model, batch, weights = toy3_sized_case()
+    attack = AttackConfig(epsilon=0.1, step_size=0.05, steps=2)
+    nn_engine.forward(model, batch.features)
+    nn_engine.backward(model, batch.features, batch.labels)
+    nn_engine.backward(model, batch.features, batch.labels, weights)
+    attacks.pgd_attack(model, batch, attack, 0)
+    data = gen_gaussian_mixture(toy3_spec(samples_per_class=200, seed=1), split="test")
+    assert data.size > 512  # two evaluation batches
+    metrics.evaluate(model, data, attack, seed=0)
+    me = threading.get_ident()
+    assert set(halves) - {me}, "the worker never ran"
+    assert callers and set(callers) == {me}
+
+
+def test_a_pass_needs_at_least_one_row():
+    model = init_model([2, 16, 3], seed=0)
+    features, labels = np.empty((0, 2)), np.empty(0, dtype=np.int64)
+    passes = [
+        lambda: forward(model, features),
+        lambda: backward(model, features, labels),
+        lambda: backward(model, features, labels, np.empty(0)),
+        lambda: cross_entropy_per_example(np.empty((0, 3)), labels),
+    ]
+    for run_pass in passes:
+        with pytest.raises(ValueError, match="a pass needs at least one row"):
+            run_pass()
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")

@@ -18,6 +18,8 @@ scratch directory with single-threaded BLAS, on small toy3 runs:
   whose hidden layers are split across two threads by rows, and at one
   12-unit hidden layer (`--hidden-dims 12`), whose width keeps the pass on
   one thread;
+- `train` on one 300-row batch per epoch at hidden widths 64 and 128, so
+  the training update's weighted pass reaches the row-split threshold;
 - `evaluate` with `--attack pgd` and `--attack none`, and `attack`, on one
   checkpoint, and `evaluate --test-csv` on the CSV run's checkpoint;
 - `evaluate --attack pgd` and `attack` on a 1200-row test split, so the
@@ -113,6 +115,13 @@ MATRIX = [
         [
             "train", *SIZE, "--test-per-class", "200", "--hidden-dims", "64,128",
             "--out-root", "hidden64_128_runs",
+        ],
+    ),
+    (
+        "train_batch300_hidden64_128",
+        [
+            "train", *SIZE, "--train-per-class", "100", "--batch-size", "300",
+            "--hidden-dims", "64,128", "--out-root", "batch300_hidden64_128_runs",
         ],
     ),
     (
