@@ -6,9 +6,9 @@ satisfy max|x' - x| <= epsilon and x' in [0, 1] exactly as measured in
 float64, not merely within a tolerance: each attack builds every
 coordinate's exact feasible interval once (`feasible_box`), and the random
 start and every step are one clip into it.  Each attack also allocates one
-set of `nn_engine` walk buffers (`walk_buffers`), owns it, and hands it to
-`backward` on every step, so its steps allocate no layer-sized arrays.  The
-returned rows are the attack's own array and never alias that set.
+set of `nn_engine` walk buffers (`walk_buffers`) and owns it: each step
+walks it with `forward` and sweeps it with `backward`, so the steps allocate
+no layer-sized arrays.  The returned rows never alias that set.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .data import LabeledBatch
-from .nn_engine import ModelParams, backward, check_int, check_real, walk_buffers
+from .nn_engine import ModelParams, backward, check_int, check_real, forward, walk_buffers
 
 
 @dataclass(frozen=True)
@@ -85,12 +85,12 @@ def pgd_attack(
 ) -> np.ndarray:
     """Iterated sign-gradient ascent on cross-entropy inside the epsilon ball.
 
-    Each step takes the input gradient of the plain unweighted per-example
-    loss on the current perturbed rows from `backward` without loss
-    weights, which forms no weight gradient; every step walks the one set
-    of walk buffers this attack allocates.  The returned array has the
-    same shape as `batch.features` and is exactly feasible.  Fixed seeds
-    give identical perturbations.
+    Each step walks the current perturbed rows with `forward` into the one
+    set of walk buffers this attack allocates, then takes the input
+    gradient of the plain unweighted per-example loss from `backward`
+    without loss weights on that set, which forms no weight gradient.  The
+    returned array has the same shape as `batch.features` and is exactly
+    feasible.  Fixed seeds give identical perturbations.
     """
     anchor = batch.features
     if anchor.shape[1] != model.input_dim:
@@ -108,7 +108,8 @@ def pgd_attack(
         perturbed = anchor.copy()
     buffers = walk_buffers(model, anchor.shape[0])
     for step in range(cfg.steps):
-        _, input_grads = backward(model, perturbed, batch.labels, buffers=buffers)
+        forward(model, perturbed, buffers)
+        _, input_grads = backward(model, perturbed, batch.labels, buffers)
         if not np.all(np.isfinite(input_grads)):
             raise RuntimeError(
                 f"non-finite input gradient at attack step {step}; "

@@ -38,11 +38,7 @@ from .metrics import (
     fec_table_to_csv,
     fec_table_to_json,
 )
-from .nn_engine import (
-    cross_entropy_per_example,
-    load_checkpoint,
-    save_checkpoint,
-)
+from .nn_engine import cross_entropy_per_example, load_checkpoint, save_checkpoint
 from .training import (
     VALID_METHODS, TrainConfig, TrainHistory, check_fit, config_fingerprint, train
 )
@@ -147,17 +143,21 @@ def parse_config_file(path) -> dict:
     """Flat `key = value` file; '#' starts a comment, blank lines ignored."""
     values = {}
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise CliError(f"{path}:{lineno}: expected 'key = value', got {raw.strip()!r}")
-            key, _, value = line.partition("=")
-            key = key.strip()
-            if key not in _KEYS:
-                raise CliError(f"{path}:{lineno}: unknown configuration key {key!r}")
-            values[key] = _parse_value(key, value)
+        try:
+            lines = fh.readlines()
+        except UnicodeDecodeError as exc:
+            raise CliError(f"{path}: {exc}") from None
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise CliError(f"{path}:{lineno}: expected 'key = value', got {raw.strip()!r}")
+        key, _, value = line.partition("=")
+        key = key.strip()
+        if key not in _KEYS:
+            raise CliError(f"{path}:{lineno}: unknown configuration key {key!r}")
+        values[key] = _parse_value(key, value)
     return values
 
 
@@ -404,13 +404,16 @@ def _fec_inputs(args: argparse.Namespace) -> list[tuple[str, float, float]]:
         )
     if args.csv:
         with open(args.csv, "r", encoding="utf-8", newline="") as fh:
-            reader = csv.DictReader(fh)
-            required = {"eta", "avg", "wst"}
-            if reader.fieldnames is None or not required.issubset(reader.fieldnames):
+            reader = csv.DictReader(fh, restval="")  # a missing cell reads as ""
+            required = ("eta", "avg", "wst")
+            if reader.fieldnames is None or not set(required).issubset(reader.fieldnames):
                 raise CliError(f"{args.csv}: expected columns eta,avg,wst")
             for row in reader:
-                name = _eta_name(float(row["eta"]))
-                triples.append((name, float(row["avg"]), float(row["wst"])))
+                try:
+                    eta, avg, wst = (float(row[key]) for key in required)
+                except ValueError as exc:
+                    raise CliError(f"{args.csv}:{reader.line_num}: {exc}") from None
+                triples.append((_eta_name(eta), avg, wst))
     for raw in args.row or []:
         parts = [p.strip() for p in raw.split(",")]
         if len(parts) != 3:

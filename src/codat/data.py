@@ -224,22 +224,26 @@ def load_csv(path, num_classes: int | None = None, split: str = "train") -> Data
     """
     rows = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        for line_no, row in enumerate(csv.reader(fh), start=1):
-            if not row:
-                continue
-            if rows and len(row) != len(rows[0]):
-                raise ValueError(
-                    f"ragged CSV {path}: line {line_no} has {len(row)} cells, "
-                    f"expected {len(rows[0])}"
-                )
-            try:
-                values = [float(cell) for cell in row]
-            except ValueError as exc:
-                raise ValueError(f"non-numeric cell in {path} line {line_no}: {exc}") from None
-            bad = [cell for cell, value in zip(row, values) if not math.isfinite(value)]
-            if bad:
-                raise ValueError(f"non-finite cell {bad[0]!r} in {path} line {line_no}")
-            rows.append(values)
+        try:
+            lines = fh.readlines()
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+    for line_no, row in enumerate(csv.reader(lines), start=1):
+        if not row:
+            continue
+        if rows and len(row) != len(rows[0]):
+            raise ValueError(
+                f"ragged CSV {path}: line {line_no} has {len(row)} cells, "
+                f"expected {len(rows[0])}"
+            )
+        try:
+            values = [float(cell) for cell in row]
+        except ValueError as exc:
+            raise ValueError(f"non-numeric cell in {path} line {line_no}: {exc}") from None
+        bad = [cell for cell, value in zip(row, values) if not math.isfinite(value)]
+        if bad:
+            raise ValueError(f"non-finite cell {bad[0]!r} in {path} line {line_no}")
+        rows.append(values)
     if not rows:
         raise ValueError(f"empty CSV {path}")
     table = np.asarray(rows, dtype=np.float64)

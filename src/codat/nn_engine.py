@@ -8,16 +8,16 @@ and weight decay on caller-held momentum buffers (`sgd_step`), and a
 piecewise-constant learning-rate schedule.
 Everything is plain numpy in float64, array in and array out: `forward`
 takes a 2-d feature array and `backward` that and one integer label in
-[1, K] per row, as `check_labels` requires of every label reader.  They
-share one layer walk, which writes each dense layer's output and rectifier
-mask into walk buffers owned by its caller (`walk_buffers`); the backward
-sweep writes each layer's delta back into the output buffer of the layer it
-came from.  `forward`, and `backward` unless handed a set, allocate a fresh
-set per call, so a 512-row pass through the toy3 256-unit layers holds about
-2.3 MiB of buffers.  The returned logits, weight gradients and input
-gradients never alias a set that a caller reuses.
+[1, K] per row, as `check_labels` requires of every label reader.  A
+gradient pass is two calls by its caller on one set of walk buffers
+(`walk_buffers`): `forward` writes each dense layer's output and rectifier
+mask into a handed set, or a fresh one, and returns the logits, which alias
+it; `backward` runs the softmax head on those logits, overwriting them, and
+sweeps each layer's delta into the output buffer of the layer it came from,
+neither walking nor allocating a set.  A 512-row set for the toy3 256-unit
+layers holds about 2.3 MiB; the returned gradients never alias it.
 
-Every pass hands its hidden layers, and the unweighted `backward` its sweep,
+Every walk hands its hidden layers, and the unweighted `backward` its sweep,
 to `_by_rows`, whose guard alone decides from the row count and widths
 whether they run in two row halves at once: the caller's thread takes the
 first and one daemon worker thread, started at the first split, the second,
@@ -171,15 +171,18 @@ def _by_rows(model: ModelParams, job, rows: int) -> None:
     job(slice(None))
 
 
-def _walk(model: ModelParams, features: np.ndarray, outputs, masks) -> np.ndarray:
-    """Write one pass into `outputs` and `masks`; returns the logits, `outputs[-1]`.
+def forward(model: ModelParams, features: np.ndarray, buffers=None) -> np.ndarray:
+    """Logits for every feature row; rectifier between layers, identity at output.
 
-    The hidden layers go to `_by_rows`, which may run them in two row halves at once.
+    Walks into `buffers`, a `walk_buffers(model, rows)` set the caller owns,
+    or into a fresh set, writing every entry before reading it; the logits
+    are the set's last output.  The hidden layers go to `_by_rows`.
     """
     if features.ndim != 2 or features.shape[1] != model.input_dim:
         raise ValueError(f"features {features.shape} do not fit model input dim {model.input_dim}")
     if features.shape[0] == 0:
         raise ValueError("a pass needs at least one row, got 0")
+    outputs, masks = walk_buffers(model, features.shape[0]) if buffers is None else buffers
     last = len(model.layers) - 1
 
     def hidden(rows: slice) -> None:
@@ -196,11 +199,6 @@ def _walk(model: ModelParams, features: np.ndarray, outputs, masks) -> np.ndarra
     logits = np.matmul(outputs[last - 1] if last else features, weight.T, out=outputs[last])
     logits += bias
     return logits
-
-
-def forward(model: ModelParams, features: np.ndarray) -> np.ndarray:
-    """Logits for every feature row; rectifier between layers, identity at output."""
-    return _walk(model, features, *walk_buffers(model, features.shape[0]))
 
 
 def check_labels(labels, rows: int, num_classes: int) -> np.ndarray:
@@ -250,40 +248,30 @@ def cross_entropy_per_example(logits: np.ndarray, labels: np.ndarray) -> np.ndar
 
 
 def backward(
-    model: ModelParams, features: np.ndarray, labels: np.ndarray, loss_weights=None, buffers=None
+    model: ModelParams, features: np.ndarray, labels: np.ndarray, buffers, loss_weights=None
 ) -> tuple[list[tuple[np.ndarray, np.ndarray]] | None, np.ndarray]:
     """Gradients of sum_i loss_weights[i] * cross_entropy_i over the feature rows.
 
-    Returns per-layer (weight gradient, bias gradient) pairs and the
-    gradient with respect to the input features.  Without `loss_weights`
-    (the attack loop) the loss is the plain sum and only the input gradient
-    is formed: the pairs are None.  Its input gradient equals, bit for bit,
-    the one returned for weights of all ones.
-
-    `buffers` is a `walk_buffers(model, rows)` set that the caller owns and
-    may pass again on the next call (a PGD attack reuses one for all its
-    steps); without it a fresh set is allocated.  The walk overwrites every
-    entry before reading it, so nothing of an earlier call leaks in, and
-    the returned gradients are fresh arrays that never alias the set.
-
-    The walk's hidden layers may run in two row halves at once (`_by_rows`),
-    with the same bytes, and without `loss_weights` so may the sweep from
-    the output layer's weight down to layer 1.  The weighted sweep runs
-    whole: its weight gradients sum over all rows.
+    `buffers` is the set that `forward(model, features, buffers)` just walked;
+    the head overwrites its logits and the sweep its layer outputs.  Returns
+    per-layer (weight gradient, bias gradient) pairs and the gradient with
+    respect to the input features, fresh arrays that never alias the set.
+    Without `loss_weights` (the attack loop) the loss is the plain sum and
+    only the input gradient is formed: the pairs are None.  Its input
+    gradient equals, bit for bit, the one returned for weights of all ones,
+    and its sweep may run in two row halves at once (`_by_rows`); the
+    weighted sweep runs whole, as its weight gradients sum over rows.
     """
-    if buffers is None:
-        buffers = walk_buffers(model, features.shape[0])
     outputs, masks = buffers
     weighted = loss_weights is not None
-    logits = _walk(model, features, outputs, masks)
-    labels = check_labels(labels, *logits.shape)
+    labels = check_labels(labels, *outputs[-1].shape)
     if weighted:
         loss_weights = np.asarray(loss_weights, dtype=np.float64)
         if loss_weights.shape != labels.shape:
             raise ValueError(f"loss weights {loss_weights.shape} do not match labels {labels.shape}")
 
     # softmax cross-entropy head, in the logits' own buffer
-    delta = logits
+    delta = outputs[-1]
     delta -= np.max(delta, axis=1, keepdims=True)
     np.exp(delta, out=delta)
     delta /= np.sum(delta, axis=1, keepdims=True)

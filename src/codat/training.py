@@ -1,14 +1,15 @@
 """Training: one loop for the class-reweighted DRO trainer and three baselines.
 
-All four methods share the loop in `train`: attack the minibatch, reduce
-the per-example adversarial cross-entropy with `class_avg_loss` to class
-risks and counts, and turn those through a method-specific class weighting
-(its `STEP_FNS` entry) into a scalar batch loss, a routing row that `train`
-alone spreads over each class's examples to drive the update, and a history
-row.  The DRO trainer reads all three from one `worst_case_distribution` call
-per batch; standard adversarial training routes the plain example mean;
-fixed-class-weighted training uses a static simplex weight vector; and
-worst-class training follows the subgradient of the max class risk.
+All four methods share the loop in `train`: attack the minibatch, walk the
+attacked rows once with `forward`, reduce their per-example cross-entropy with
+`class_avg_loss` to class risks and counts, and turn those through a
+method-specific class weighting (its `STEP_FNS` entry) into a scalar batch
+loss, a routing row that `train` alone spreads over each class's examples for
+the weighted `backward` on the same walk, and a history row.  The DRO trainer
+reads all three from one `worst_case_distribution` call per batch; standard
+adversarial training routes the plain example mean; fixed-class-weighted
+training uses a static simplex weight vector; and worst-class training follows
+the subgradient of the max class risk.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ from .nn_engine import (
     lr_at_epoch,
     params_digest,
     sgd_step,
+    walk_buffers,
 )
 
 HISTORY_FORMAT = "codat-history"
@@ -341,7 +343,9 @@ def train(config: TrainConfig, train_data: Dataset, eval_data: Dataset | None = 
             batch_iter(train_data, config.batch_size, config.seed, epoch=epoch)
         ):
             adv_features = pgd_attack(model, batch, config.attack, seed=(config.seed, epoch, idx))
-            adv_losses = cross_entropy_per_example(forward(model, adv_features), batch.labels)
+            # the losses read the walk's logits before `backward`'s head overwrites them
+            walk = walk_buffers(model, batch.size)
+            adv_losses = cross_entropy_per_example(forward(model, adv_features, walk), batch.labels)
             nat_losses = cross_entropy_per_example(forward(model, batch.features), batch.labels)
             # finite squares keep every class risk, moment and step loss finite
             if not np.isfinite(np.dot(adv_losses, adv_losses)):
@@ -355,7 +359,7 @@ def train(config: TrainConfig, train_data: Dataset, eval_data: Dataset | None = 
             example_weights = (
                 np.full(k.size, 1.0 / k.size) if routing is None else routing[k] / counts[k]
             )
-            grads, _ = backward(model, adv_features, batch.labels, example_weights)
+            grads, _ = backward(model, adv_features, batch.labels, walk, example_weights)
             sgd_step(model, grads, buffers, learning_rate, config.momentum, config.weight_decay)
             hit = _riskiest_class(risks, counts) == int(np.argmax(class_row))
             gap = None if valid is False else abs(float(np.dot(class_row, risks.risks)) - loss)

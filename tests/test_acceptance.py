@@ -32,6 +32,7 @@ from codat.nn_engine import (
     forward,
     init_model,
     params_digest,
+    walk_buffers,
 )
 from codat.training import TrainConfig, train
 
@@ -342,7 +343,9 @@ def test_criterion_5_gradient_checks():
             losses = cross_entropy_per_example(forward(model, probe.features), probe.labels)
             return float(np.dot(loss_weights, losses))
 
-        grads, input_grads = backward(model, batch.features, batch.labels, loss_weights)
+        walk = walk_buffers(model, size)
+        forward(model, batch.features, walk)
+        grads, input_grads = backward(model, batch.features, batch.labels, walk, loss_weights)
         numeric_inputs = _numeric_gradient(batch_loss, batch.features.ravel().copy())
         gap = np.max(
             np.abs(input_grads.ravel() - numeric_inputs)

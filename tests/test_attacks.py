@@ -298,13 +298,15 @@ def test_attack_output_bytes_are_pinned():
 
 
 def fresh_walk_pgd(model, batch, cfg, seed):
-    """`pgd_attack` as a loop of `backward` calls that each walk a fresh set of buffers."""
+    """`pgd_attack` as a loop of `forward` and `backward` calls that each walk a fresh set."""
     lo, hi = feasible_box(batch.features, cfg.epsilon)
     rng = np.random.default_rng(seed)
     start = batch.features + rng.uniform(-cfg.epsilon, cfg.epsilon, size=batch.features.shape)
     perturbed = np.clip(start, lo, hi)
     for _ in range(cfg.steps):
-        _, input_grads = backward(model, perturbed, batch.labels)
+        buffers = walk_buffers(model, perturbed.shape[0])
+        forward(model, perturbed, buffers)
+        _, input_grads = backward(model, perturbed, batch.labels, buffers)
         perturbed = np.clip(perturbed + cfg.step_size * np.sign(input_grads), lo, hi)
     return perturbed
 

@@ -109,6 +109,14 @@ class TestConfigResolution:
         with pytest.raises(ValueError, match="expected 'key = value'"):
             parse_config_file(bad_line)
 
+    def test_undecodable_config_names_the_file(self, tmp_path, capsys):
+        config = tmp_path / "run.conf"
+        config.write_bytes(b"epochs = 7\n\xff\n")
+        rc = main(["train", "--config", str(config), "--print-config"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {config}: ") and "can't decode byte 0xff" in err
+
     def test_print_config_echoes_resolved_values(self, capsys):
         assert main(["train", "--preset", "toy3", "--print-config"]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
@@ -576,6 +584,22 @@ class TestFecCommand:
                    "--out", str(tmp_path / "fec")])
         assert rc == 2
         assert "method 'eta0.3' needs finite accuracies" in capsys.readouterr().err
+        assert not (tmp_path / "fec").exists()
+
+    @pytest.mark.parametrize(
+        "row, cell",
+        [("0.3,0.5", "''"), ("0.3,x,0.5", "'x'")],
+        ids=["missing_cell", "non_numeric_cell"],
+    )
+    def test_bad_csv_cell_names_file_and_line(self, tmp_path, capsys, row, cell):
+        csv_path = tmp_path / "sweep.csv"
+        csv_path.write_text(f"eta,avg,wst\n0,0.5,0.4\n{row}\n", encoding="utf-8")
+        rc = main(["fec", "--csv", str(csv_path), "--baseline", "eta0",
+                   "--out", str(tmp_path / "fec")])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: {csv_path}:3: could not convert string to float: {cell}\n"
+        )
         assert not (tmp_path / "fec").exists()
 
     def test_missing_baseline_rejected(self, tmp_path, capsys):

@@ -1,3 +1,4 @@
+import re
 import struct
 
 import numpy as np
@@ -19,7 +20,14 @@ from codat.data import (
     save_csv,
     toy3_spec,
 )
-from codat.nn_engine import backward, cross_entropy_per_example, forward, init_model, sgd_step
+from codat.nn_engine import (
+    backward,
+    cross_entropy_per_example,
+    forward,
+    init_model,
+    sgd_step,
+    walk_buffers,
+)
 from codat.metrics import evaluate
 from codat.training import TrainConfig, train
 
@@ -174,7 +182,9 @@ def test_toy3_preset_makes_one_class_pair_hard_for_a_linear_model():
     buffers = [(np.zeros_like(w), np.zeros_like(b)) for w, b in model.layers]
     for epoch in range(20):
         for batch in batch_iter(train, 64, seed=0, epoch=epoch):
-            grads, _ = backward(model, batch.features, batch.labels, np.full(batch.size, 1.0 / batch.size))
+            walk = walk_buffers(model, batch.size)
+            forward(model, batch.features, walk)
+            grads, _ = backward(model, batch.features, batch.labels, walk, np.full(batch.size, 1.0 / batch.size))
             sgd_step(model, grads, buffers, 0.1, 0.9, 2e-4)
     predictions = np.argmax(forward(model, train.features), axis=1) + 1
     per_class = [
@@ -278,6 +288,13 @@ def test_csv_rejects_ragged_rows(tmp_path):
     path = tmp_path / "data.csv"
     path.write_text("1,2,1\n1,2\n")
     with pytest.raises(ValueError, match="ragged"):
+        load_csv(path)
+
+
+def test_csv_that_is_not_utf8_names_the_file(tmp_path):
+    path = tmp_path / "data.csv"
+    path.write_bytes(b"0.5,0.5,1\n0.5,\xff,2\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: 'utf-8' codec can't decode byte 0xff"):
         load_csv(path)
 
 

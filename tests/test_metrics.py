@@ -23,6 +23,7 @@ from codat.nn_engine import (
     forward,
     init_model,
     sgd_step,
+    walk_buffers,
 )
 
 
@@ -138,7 +139,9 @@ def lightly_trained_model(data, epochs=5, seed=0):
     buffers = [(np.zeros_like(w), np.zeros_like(b)) for w, b in model.layers]
     for epoch in range(epochs):
         for batch in batch_iter(data, 64, seed=seed, epoch=epoch):
-            grads, _ = backward(model, batch.features, batch.labels, np.full(batch.size, 1.0 / batch.size))
+            walk = walk_buffers(model, batch.size)
+            forward(model, batch.features, walk)
+            grads, _ = backward(model, batch.features, batch.labels, walk, np.full(batch.size, 1.0 / batch.size))
             sgd_step(model, grads, buffers, 0.1, 0.9, 2e-4)
     return model
 

@@ -40,6 +40,14 @@ def zero_buffers(model):
     return [(np.zeros_like(weight), np.zeros_like(bias)) for weight, bias in model.layers]
 
 
+def walked_backward(model, features, labels, loss_weights=None, buffers=None):
+    """`forward` into `buffers`, or into a fresh walk set, then `backward` on that set."""
+    if buffers is None:
+        buffers = walk_buffers(model, features.shape[0])
+    forward(model, features, buffers)
+    return backward(model, features, labels, buffers, loss_weights)
+
+
 def make_batch(rng, rows, dim, num_classes):
     feats = rng.uniform(0.1, 0.9, size=(rows, dim))
     labels = rng.integers(1, num_classes + 1, size=rows)
@@ -156,7 +164,7 @@ def test_backward_zero_loss_weights_zero_gradients():
     rng = np.random.default_rng(1)
     model = init_model([3, 5, 2], seed=1)
     batch = make_batch(rng, 4, 3, 2)
-    grads, input_grads = backward(model, batch.features, batch.labels, np.zeros(4))
+    grads, input_grads = walked_backward(model, batch.features, batch.labels, np.zeros(4))
     for gw, gb in grads:
         np.testing.assert_array_equal(gw, 0.0)
         np.testing.assert_array_equal(gb, 0.0)
@@ -168,8 +176,8 @@ def test_backward_scales_linearly_in_loss_weights():
     model = init_model([3, 5, 2], seed=2)
     batch = make_batch(rng, 4, 3, 2)
     weights = rng.uniform(0.1, 1.0, size=4)
-    grads_one, inputs_one = backward(model, batch.features, batch.labels, weights)
-    grads_two, inputs_two = backward(model, batch.features, batch.labels, 2.0 * weights)
+    grads_one, inputs_one = walked_backward(model, batch.features, batch.labels, weights)
+    grads_two, inputs_two = walked_backward(model, batch.features, batch.labels, 2.0 * weights)
     for (gw1, gb1), (gw2, gb2) in zip(grads_one, grads_two):
         np.testing.assert_allclose(gw2, 2.0 * gw1, rtol=1e-12)
         np.testing.assert_allclose(gb2, 2.0 * gb1, rtol=1e-12)
@@ -189,7 +197,7 @@ def test_backward_matches_finite_differences():
         model = init_model(dims, seed=int(rng.integers(10_000)))
         batch = make_batch(rng, 3, dims[0], dims[-1])
         weights = rng.uniform(0.2, 1.0, size=3)
-        grads, input_grads = backward(model, batch.features, batch.labels, weights)
+        grads, input_grads = walked_backward(model, batch.features, batch.labels, weights)
         h = 1e-4
 
         for layer_idx, (gw, gb) in enumerate(grads):
@@ -225,7 +233,7 @@ def test_backward_rejects_mismatched_weights():
     model = init_model([2, 3], seed=0)
     batch = LabeledBatch(np.full((2, 2), 0.5), np.array([1, 2]))
     with pytest.raises(ValueError, match="weights"):
-        backward(model, batch.features, batch.labels, np.ones(3))
+        walked_backward(model, batch.features, batch.labels, np.ones(3))
 
 
 @pytest.mark.parametrize(
@@ -244,7 +252,7 @@ def test_backward_rejects_labels_outside_the_classes_or_rows(labels, match, weig
     model = init_model([2, 3], seed=0)
     weights = np.ones(2) if weighted else None
     with pytest.raises(ValueError, match=match):
-        backward(model, np.full((2, 2), 0.5), labels, weights)
+        walked_backward(model, np.full((2, 2), 0.5), labels, weights)
 
 
 def test_network_rejects_features_that_are_not_a_matrix():
@@ -252,7 +260,7 @@ def test_network_rejects_features_that_are_not_a_matrix():
     with pytest.raises(ValueError, match="do not fit"):
         forward(model, np.full(2, 0.5))
     with pytest.raises(ValueError, match="do not fit"):
-        backward(model, np.full((1, 1, 2), 0.5), np.array([1]))
+        forward(model, np.full((1, 1, 2), 0.5))
 
 
 # ------------------------------------------- unweighted (attack) backward
@@ -264,8 +272,8 @@ def test_unweighted_backward_equals_unit_weights_bit_for_bit(dims, rows):
     rng = np.random.default_rng(rows)
     model = init_model(dims, seed=rows + len(dims))
     batch = make_batch(rng, rows, dims[0], dims[-1])
-    _, expected = backward(model, batch.features, batch.labels, np.ones(rows))
-    grads, got = backward(model, batch.features, batch.labels)
+    _, expected = walked_backward(model, batch.features, batch.labels, np.ones(rows))
+    grads, got = walked_backward(model, batch.features, batch.labels)
     assert grads is None
     assert got.shape == batch.features.shape
     assert np.array_equal(got, expected)
@@ -278,7 +286,7 @@ def test_unweighted_backward_matches_finite_differences():
     for dims in ([3, 4], [3, 6, 5, 4]):
         model = init_model(dims, seed=int(rng.integers(10_000)))
         batch = make_batch(rng, 4, dims[0], dims[-1])
-        _, analytic = backward(model, batch.features, batch.labels)
+        _, analytic = walked_backward(model, batch.features, batch.labels)
         feats = batch.features.copy()
         for row in range(feats.shape[0]):
             for col in range(feats.shape[1]):
@@ -304,8 +312,8 @@ def test_unweighted_backward_equals_unit_weights_property(input_dim, hidden, num
     rng = np.random.default_rng(seed)
     model = init_model([input_dim, *hidden, num_classes], seed=seed)
     batch = make_batch(rng, rows, input_dim, num_classes)
-    _, expected = backward(model, batch.features, batch.labels, np.ones(rows))
-    grads, got = backward(model, batch.features, batch.labels)
+    _, expected = walked_backward(model, batch.features, batch.labels, np.ones(rows))
+    grads, got = walked_backward(model, batch.features, batch.labels)
     assert grads is None
     assert np.array_equal(got, expected)
 
@@ -336,28 +344,33 @@ def test_toy3_sized_passes_reuse_layer_temporaries():
     # a fresh walk set: two 1 MiB layer outputs and two 128 KiB masks;
     # a fresh array for every bias add or rectifier would need 4 MiB
     model, batch, _ = toy3_sized_case()
-    assert traced_peak_mib(lambda: backward(model, batch.features, batch.labels)) <= 2.5
+    assert traced_peak_mib(lambda: walked_backward(model, batch.features, batch.labels)) <= 2.5
     assert traced_peak_mib(lambda: forward(model, batch.features)) <= 2.5
 
 
 def test_toy3_sized_backward_in_a_handed_set_allocates_no_layer_array():
-    model, batch, _ = toy3_sized_case()
+    model, batch, weights = toy3_sized_case()
     buffers = walk_buffers(model, 512)
-    peak = traced_peak_mib(lambda: backward(model, batch.features, batch.labels, buffers=buffers))
+    peak = traced_peak_mib(lambda: walked_backward(model, batch.features, batch.labels, buffers=buffers))
     assert peak <= 0.1
+    # the training update's path allocates only the gradients it returns;
+    # one layer-sized array would add 1 MiB
+    gradient_mib = sum(weight.nbytes + bias.nbytes for weight, bias in model.layers) / 2**20
+    peak = traced_peak_mib(lambda: walked_backward(model, batch.features, batch.labels, weights, buffers))
+    assert peak <= gradient_mib + 0.1
 
 
 def test_weighted_backward_in_a_reused_stale_set_equals_a_fresh_one():
     # the attack's reuse of one set is checked in tests/test_attacks.py
     model, batch, weights = toy3_sized_case()
-    expected_grads, expected_input = backward(model, batch.features, batch.labels, weights)
+    expected_grads, expected_input = walked_backward(model, batch.features, batch.labels, weights)
     buffers = walk_buffers(model, 512)
     for output in buffers[0]:
         output.fill(np.nan)
     for mask in buffers[1]:
         mask.fill(True)
     for _ in range(2):
-        grads, input_grads = backward(model, batch.features, batch.labels, weights, buffers)
+        grads, input_grads = walked_backward(model, batch.features, batch.labels, weights, buffers)
         returned = [input_grads]
         assert input_grads.tobytes() == expected_input.tobytes()
         for (gw, gb), (ew, eb) in zip(grads, expected_grads):
@@ -371,7 +384,7 @@ def test_toy3_sized_outputs_are_pinned():
     # hashes taken when every bias add and rectifier made a fresh array
     # (numpy 2.4, x86-64); the in-place layers must return the same bytes
     model, batch, weights = toy3_sized_case()
-    grads, input_grads = backward(model, batch.features, batch.labels, weights)
+    grads, input_grads = walked_backward(model, batch.features, batch.labels, weights)
     h = hashlib.sha256()
     for gw, gb in grads:
         h.update(gw.tobytes())
@@ -401,10 +414,10 @@ def split_outputs(model, batch, seed):
     """Forward logits, both backward modes' gradients and a 2-step PGD attack's rows."""
     attack = AttackConfig(epsilon=0.1, step_size=0.05, steps=2)
     weights = np.random.default_rng(seed).uniform(0.1, 1.0, size=batch.size)
-    grads, weighted_input_grads = backward(model, batch.features, batch.labels, weights)
+    grads, weighted_input_grads = walked_backward(model, batch.features, batch.labels, weights)
     return (
         forward(model, batch.features),
-        backward(model, batch.features, batch.labels)[1],
+        walked_backward(model, batch.features, batch.labels)[1],
         *(array for pair in grads for array in pair),
         weighted_input_grads,
         pgd_attack(model, batch, attack, seed),
@@ -448,7 +461,7 @@ def test_row_split_equals_one_thread_bit_for_bit(input_dim, hidden, num_classes,
          "toy3"],
 )
 def test_worker_takes_only_the_shapes_the_guard_accepts(monkeypatch, dims, rows, weighted, splits):
-    # `splits` counts the backward's walk and, unweighted, its sweep; forward adds one more if any
+    # `splits` counts the walk before backward and, unweighted, its sweep; forward adds one if any
     calls = []
 
     def record(job, rows):
@@ -459,7 +472,7 @@ def test_worker_takes_only_the_shapes_the_guard_accepts(monkeypatch, dims, rows,
     rng = np.random.default_rng(0)
     model = init_model(dims, seed=0)
     batch = make_batch(rng, rows, dims[0], dims[-1])
-    backward(model, batch.features, batch.labels, np.ones(rows) if weighted else None)
+    walked_backward(model, batch.features, batch.labels, np.ones(rows) if weighted else None)
     assert len(calls) == splits
     forward(model, batch.features)
     assert len(calls) == splits + (splits > 0)
@@ -485,7 +498,7 @@ def test_split_pass_leaves_no_reference_to_its_walk_set():
     # a walk set the worker held on to would stay alive beside the next call's set
     model, batch, _ = toy3_sized_case()
     buffers = walk_buffers(model, 512)
-    backward(model, batch.features, batch.labels, buffers=buffers)
+    walked_backward(model, batch.features, batch.labels, buffers=buffers)
     refs = [weakref.ref(array) for array in buffers[0] + buffers[1]]
     del buffers
     assert all(ref() is None for ref in refs)
@@ -527,8 +540,10 @@ def test_split_worker_runs_no_module_level_function(monkeypatch):
     model, batch, weights = toy3_sized_case()
     attack = AttackConfig(epsilon=0.1, step_size=0.05, steps=2)
     nn_engine.forward(model, batch.features)
-    nn_engine.backward(model, batch.features, batch.labels)
-    nn_engine.backward(model, batch.features, batch.labels, weights)
+    for loss_weights in (None, weights):
+        buffers = nn_engine.walk_buffers(model, 512)
+        nn_engine.forward(model, batch.features, buffers)
+        nn_engine.backward(model, batch.features, batch.labels, buffers, loss_weights)
     attacks.pgd_attack(model, batch, attack, 0)
     data = gen_gaussian_mixture(toy3_spec(samples_per_class=200, seed=1), split="test")
     assert data.size > 512  # two evaluation batches
@@ -543,8 +558,9 @@ def test_a_pass_needs_at_least_one_row():
     features, labels = np.empty((0, 2)), np.empty(0, dtype=np.int64)
     passes = [
         lambda: forward(model, features),
-        lambda: backward(model, features, labels),
-        lambda: backward(model, features, labels, np.empty(0)),
+        lambda: walked_backward(model, features, labels),
+        lambda: walked_backward(model, features, labels, np.empty(0)),
+        lambda: backward(model, features, labels, walk_buffers(model, 0)),
         lambda: cross_entropy_per_example(np.empty((0, 3)), labels),
     ]
     for run_pass in passes:
@@ -555,13 +571,13 @@ def test_a_pass_needs_at_least_one_row():
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 def test_forked_child_runs_a_split_pass_after_its_parent():
     model, batch, _ = toy3_sized_case()
-    _, expected = backward(model, batch.features, batch.labels)  # starts the parent's worker
+    _, expected = walked_backward(model, batch.features, batch.labels)  # starts the parent's worker
     read_end, write_end = os.pipe()
     pid = os.fork()
     if pid == 0:  # the child: one split pass, its digest to the pipe, no pytest teardown
         code = 1
         try:
-            _, got = backward(model, batch.features, batch.labels)
+            _, got = walked_backward(model, batch.features, batch.labels)
             os.write(write_end, hashlib.sha256(got.tobytes()).digest())
             code = 0
         finally:
@@ -654,7 +670,7 @@ def test_identical_seed_gives_bit_identical_trajectory():
         digests = [params_digest(model)]
         for _ in range(5):
             batch = make_batch(rng, 8, 3, 2)
-            grads, _ = backward(model, batch.features, batch.labels, np.full(8, 1.0 / 8.0))
+            grads, _ = walked_backward(model, batch.features, batch.labels, np.full(8, 1.0 / 8.0))
             sgd_step(model, grads, buffers, 0.1, 0.9, 2e-4)
             digests.append(params_digest(model))
         return digests

@@ -24,6 +24,7 @@ from codat.nn_engine import (
     init_model,
     lr_at_epoch,
     params_digest,
+    walk_buffers,
 )
 from codat.training import (
     STEP_FNS,
@@ -347,7 +348,9 @@ class TestTrainingLoop:
 
         expected = init_model([2, 2], seed=9)
         batch = next(iter(batch_iter(data, 4, seed=9, epoch=0)))
-        grads, _ = backward(expected, batch.features, batch.labels, np.full(4, 0.25))
+        walk = walk_buffers(expected, 4)
+        forward(expected, batch.features, walk)
+        grads, _ = backward(expected, batch.features, batch.labels, walk, np.full(4, 0.25))
         wanted = [(w - 0.1 * gw, b - 0.1 * gb) for (w, b), (gw, gb) in zip(expected.layers, grads)]
         for (w, b), (ew, eb) in zip(model.layers, wanted):
             assert np.array_equal(w, ew)
@@ -594,15 +597,32 @@ class TestTrainingLoop:
         seen = []
         real_backward = training.backward
 
-        def recording(model, features, labels, loss_weights=None):
+        def recording(model, features, labels, buffers, loss_weights=None):
             seen.append(loss_weights)
-            return real_backward(model, features, labels, loss_weights)
+            return real_backward(model, features, labels, buffers, loss_weights)
 
         monkeypatch.setattr(training, "backward", recording)
         config = make_config("standard_at", epochs=1, batch_size=64, attack=NO_ATTACK)
         train(config, gen_gaussian_mixture(toy3_spec()))
         assert [weights.size for weights in seen] == [64] * 23 + [28]
         assert np.array_equal(seen[-1], np.full(28, 1 / 28))
+
+    def test_each_batch_walks_its_attacked_rows_once(self, monkeypatch):
+        # at radius 0 the attack makes no pass, so each batch walks twice: its
+        # attacked rows, shared by their losses and the update, and its natural rows
+        from codat import nn_engine
+
+        walks = []
+        by_rows = nn_engine._by_rows
+
+        def counted(model, job, rows):
+            walks.append((job.__name__, rows))
+            return by_rows(model, job, rows)
+
+        monkeypatch.setattr(nn_engine, "_by_rows", counted)
+        config = make_config("codat", epochs=1, batch_size=50, attack=NO_ATTACK)
+        train(config, small_dataset())
+        assert walks == [("hidden", rows) for rows in (50, 50, 50, 50, 20, 20)]
 
     def test_dispatch_validates_method_field(self):
         assert sorted(STEP_FNS) == sorted(VALID_METHODS)
