@@ -18,8 +18,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .data import LabeledBatch
-from .nn_engine import ModelParams, backward, check_int, check_real, forward, walk_buffers
+from .data import LabeledBatch, check_int, check_real
+from .nn_engine import ModelParams, backward, forward, walk_buffers
 
 
 @dataclass(frozen=True)

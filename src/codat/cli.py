@@ -19,7 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from .attacks import AttackConfig
-from .data import Dataset, gen_gaussian_mixture, load_csv, load_idx, save_csv, toy3_spec
+from .data import (Dataset, gen_gaussian_mixture, load_csv, load_idx, read_lines, save_csv,
+                   toy3_spec, write_csv)
 from .dro_core import (
     AmbiguityConfig,
     ClassRiskVector,
@@ -142,12 +143,7 @@ def _parse_value(key: str, text) -> object:
 def parse_config_file(path) -> dict:
     """Flat `key = value` file; '#' starts a comment, blank lines ignored."""
     values = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            lines = fh.readlines()
-        except UnicodeDecodeError as exc:
-            raise CliError(f"{path}: {exc}") from None
-    for lineno, raw in enumerate(lines, start=1):
+    for lineno, raw in enumerate(read_lines(path), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -403,17 +399,20 @@ def _fec_inputs(args: argparse.Namespace) -> list[tuple[str, float, float]]:
             (Path(path).stem, report.average_accuracy, report.worst_class_accuracy)
         )
     if args.csv:
-        with open(args.csv, "r", encoding="utf-8", newline="") as fh:
-            reader = csv.DictReader(fh, restval="")  # a missing cell reads as ""
-            required = ("eta", "avg", "wst")
-            if reader.fieldnames is None or not set(required).issubset(reader.fieldnames):
-                raise CliError(f"{args.csv}: expected columns eta,avg,wst")
-            for row in reader:
-                try:
-                    eta, avg, wst = (float(row[key]) for key in required)
-                except ValueError as exc:
-                    raise CliError(f"{args.csv}:{reader.line_num}: {exc}") from None
-                triples.append((_eta_name(eta), avg, wst))
+        # a missing cell reads as "", and a row's extra cells gather under the key None
+        reader = csv.DictReader(read_lines(args.csv), restval="")
+        required = ("eta", "avg", "wst")
+        if reader.fieldnames is None or not set(required).issubset(reader.fieldnames):
+            raise CliError(f"{args.csv}: expected columns eta,avg,wst")
+        for row in reader:
+            extra = row.pop(None, [])
+            try:
+                if extra:
+                    raise ValueError(f"{len(row) + len(extra)} cells, expected {len(row)}")
+                eta, avg, wst = (float(row[key]) for key in required)
+            except ValueError as exc:
+                raise CliError(f"{args.csv}:{reader.line_num}: {exc}") from None
+            triples.append((_eta_name(eta), avg, wst))
     for raw in args.row or []:
         parts = [p.strip() for p in raw.split(",")]
         if len(parts) != 3:
@@ -523,11 +522,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     sweep_dir = _out_root(resolved) / f"sweep_{resolved['preset']}_seed{resolved['seed']}"
     sweep_dir.mkdir(parents=True, exist_ok=True)
     csv_path = sweep_dir / "sweep.csv"
-    with open(csv_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["eta", "avg", "wst", "seconds"])
-        for eta, avg, wst, elapsed in rows:
-            writer.writerow([f"{eta:g}", repr(avg), repr(wst), f"{elapsed:.3f}"])
+    write_csv(csv_path, [["eta", "avg", "wst", "seconds"]] + [
+        [f"{eta:g}", repr(avg), repr(wst), f"{elapsed:.3f}"] for eta, avg, wst, elapsed in rows
+    ])
     print(f"sweep table: {csv_path}")
     return 0
 

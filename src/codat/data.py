@@ -6,12 +6,15 @@ easy class), an IDX binary loader for MNIST-style corpora, a numeric CSV
 loader, and a seeded iterator of `LabeledBatch` minibatches, all with
 features in [0, 1] as the attack module requires.  The generator and the
 CSV loader scale each split on its own bounds, not on the train split's.
+Every text file the package reads goes through `read_lines`, and every CSV
+it writes through `write_csv`.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import numbers
 import struct
 from dataclasses import dataclass, field
 
@@ -19,6 +22,34 @@ import numpy as np
 
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
+
+
+def check_int(name: str, value) -> int:
+    """`value` as an int if it is an int or numpy integer (a bool is not), else ValueError."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name}: expected an integer, got {value!r}")
+    return int(value)
+
+
+def check_real(name: str, value) -> None:
+    """Raise ValueError naming `name` unless `value` is a real number (a bool is not)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name}: expected a real number, got {value!r}")
+
+
+def read_lines(path) -> list[str]:
+    """The lines of the UTF-8 file at `path`, endings kept; a ValueError naming it if not UTF-8."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        try:
+            return fh.readlines()
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+
+
+def write_csv(path, rows) -> None:
+    """Write `rows`, each an iterable of cells, as CSV to the UTF-8 file at `path`."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh).writerows(rows)
 
 
 @dataclass(frozen=True)
@@ -111,10 +142,7 @@ class MixtureSpec:
         if isinstance(self.spread, bool) or not 0.0 < self.spread < np.inf:
             raise ValueError(f"spread must be positive and finite, got {self.spread}")
         for name in ("samples_per_class", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name}: expected an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))
+            object.__setattr__(self, name, check_int(name, getattr(self, name)))
         if self.samples_per_class < 1:
             raise ValueError("need at least one sample per class")
         if self.seed < 0:
@@ -223,12 +251,7 @@ def load_csv(path, num_classes: int | None = None, split: str = "train") -> Data
     per-column transform is recorded in provenance.
     """
     rows = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        try:
-            lines = fh.readlines()
-        except UnicodeDecodeError as exc:
-            raise ValueError(f"{path}: {exc}") from None
-    for line_no, row in enumerate(csv.reader(lines), start=1):
+    for line_no, row in enumerate(csv.reader(read_lines(path)), start=1):
         if not row:
             continue
         if rows and len(row) != len(rows[0]):
@@ -283,10 +306,8 @@ def load_csv(path, num_classes: int | None = None, split: str = "train") -> Data
 
 def save_csv(dataset: Dataset, path) -> None:
     """Write features plus a final label column, loadable by `load_csv`."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        for row, label in zip(dataset.features, dataset.labels):
-            writer.writerow([repr(v) for v in row.tolist()] + [int(label)])
+    rows = zip(dataset.features, dataset.labels)
+    write_csv(path, ([repr(v) for v in row.tolist()] + [int(label)] for row, label in rows))
 
 
 def batch_iter(dataset: Dataset, batch_size: int, seed, epoch: int = 0):

@@ -10,7 +10,6 @@ Values above 1 mean fairness gains outpaced the average-accuracy cost.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from collections.abc import Iterator
@@ -20,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .attacks import AttackConfig, pgd_attack
-from .data import Dataset, LabeledBatch
+from .data import Dataset, LabeledBatch, write_csv
 from .nn_engine import ModelParams, check_artifact, check_labels, forward, read_json
 
 REPORT_FORMAT = "codat-eval-report"
@@ -242,11 +241,9 @@ def fec_rows(named_accuracies: list[tuple[str, float, float]], baseline: str) ->
 
 def fec_table_to_csv(rows: list[FecRow], path) -> None:
     """Two-decimal CSV with header method,avg,wst,fec (JSON keeps full precision)."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["method", "avg", "wst", "fec"])
-        for row in rows:
-            writer.writerow([row.method, f"{row.avg:.2f}", f"{row.wst:.2f}", f"{row.fec:.2f}"])
+    write_csv(path, [["method", "avg", "wst", "fec"]] + [
+        [row.method, f"{row.avg:.2f}", f"{row.wst:.2f}", f"{row.fec:.2f}"] for row in rows
+    ])
 
 
 def fec_table_to_json(rows: list[FecRow], path) -> None:
@@ -254,7 +251,4 @@ def fec_table_to_json(rows: list[FecRow], path) -> None:
 
 
 def confusion_to_csv(report: EvalReport, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        for row in report.confusion:
-            writer.writerow([int(v) for v in row])
+    write_csv(path, ([int(v) for v in row] for row in report.confusion))

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import numbers
 import os
 import queue
 import threading
@@ -220,19 +219,6 @@ def check_labels(labels, rows: int, num_classes: int) -> np.ndarray:
             f"[{np.min(labels)}, {np.max(labels)}]"
         )
     return labels
-
-
-def check_int(name: str, value) -> int:
-    """`value` as an int if it is an int or numpy integer (a bool is not), else ValueError."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name}: expected an integer, got {value!r}")
-    return int(value)
-
-
-def check_real(name: str, value) -> None:
-    """Raise ValueError naming `name` unless `value` is a real number (a bool is not)."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ValueError(f"{name}: expected a real number, got {value!r}")
 
 
 def cross_entropy_per_example(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:

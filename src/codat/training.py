@@ -24,7 +24,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .attacks import AttackConfig, pgd_attack
-from .data import Dataset, batch_iter
+from .data import Dataset, batch_iter, check_int, check_real, read_lines
 from .dro_core import (
     AmbiguityConfig,
     ClassRiskVector,
@@ -36,9 +36,7 @@ from .nn_engine import (
     ModelParams,
     backward,
     check_artifact,
-    check_int,
     check_labels,
-    check_real,
     cross_entropy_per_example,
     forward,
     init_model,
@@ -146,18 +144,15 @@ class TrainHistory:
     def load_jsonl(path) -> "TrainHistory":
         header = None
         records = []
-        with open(path, "r", encoding="utf-8") as fh:
-            try:
-                lines = fh.readlines()
-            except UnicodeDecodeError as exc:
-                raise ValueError(f"{path}: {exc}") from None
-        for lineno, line in enumerate(lines, start=1):
+        for lineno, line in enumerate(read_lines(path), start=1):
             try:
                 payload = json.loads(line)
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from None
             kind = payload.pop("type", None) if isinstance(payload, dict) else None
             if kind == "header":
+                if header is not None:
+                    raise ValueError(f"{path}:{lineno}: a second history header")
                 header = payload
             elif kind == "epoch":
                 try:

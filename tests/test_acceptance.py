@@ -310,7 +310,7 @@ def _numeric_gradient(objective, point: np.ndarray, step: float = 1e-6) -> np.nd
 
 
 def test_criterion_5_gradient_checks():
-    started = time.perf_counter()
+    started, cpu_started = time.perf_counter(), time.process_time()
     rng = np.random.default_rng(505)
     worst_objective_gap = 0.0
     for _ in range(20):
@@ -376,12 +376,13 @@ def test_criterion_5_gradient_checks():
                 )
                 worst_network_gap = max(worst_network_gap, float(gap))
     elapsed = time.perf_counter() - started
+    cpu = time.process_time() - cpu_started
     ok = worst_objective_gap <= 1e-5 and worst_network_gap <= 1e-4 and elapsed < 30.0
     _line(
         5,
         ok,
         f"objective gradient gap {worst_objective_gap:.2e} (<=1e-5), network gradient "
-        f"gap {worst_network_gap:.2e} (<=1e-4 relative) ({elapsed:.1f}s)",
+        f"gap {worst_network_gap:.2e} (<=1e-4 relative) ({elapsed:.1f}s wall, {cpu:.1f}s CPU)",
     )
     assert worst_objective_gap <= 1e-5
     assert worst_network_gap <= 1e-4
@@ -389,7 +390,7 @@ def test_criterion_5_gradient_checks():
 
 
 def test_criterion_6_reduction_chain():
-    started = time.perf_counter()
+    started, cpu_started = time.perf_counter(), time.process_time()
     train_data = _toy_dataset(500, 0, "train")
     shared = dict(
         epochs=60,
@@ -407,6 +408,7 @@ def test_criterion_6_reduction_chain():
     trajectory_zero = [record.params_digest for record in history_zero.records]
     trajectory_std = [record.params_digest for record in history_std.records]
     elapsed = time.perf_counter() - started
+    cpu = time.process_time() - cpu_started
     ok = (
         trajectory_zero == trajectory_std
         and params_digest(model_zero) == params_digest(model_std)
@@ -416,7 +418,7 @@ def test_criterion_6_reduction_chain():
         6,
         ok,
         f"zero-radius run and standard run share all {len(trajectory_zero)} epoch "
-        f"digests ({elapsed:.1f}s)",
+        f"digests ({elapsed:.1f}s wall, {cpu:.1f}s CPU)",
     )
     assert trajectory_zero == trajectory_std
     assert params_digest(model_zero) == params_digest(model_std)
@@ -424,7 +426,7 @@ def test_criterion_6_reduction_chain():
 
 
 def test_criterion_7_attack_feasibility():
-    started = time.perf_counter()
+    started, cpu_started = time.perf_counter(), time.process_time()
     rng = np.random.default_rng(707)
     checked = 0
     violations = 0
@@ -448,11 +450,13 @@ def test_criterion_7_attack_feasibility():
         if not (np.all(adversarial >= 0.0) and np.all(adversarial <= 1.0)):
             violations += 1
     elapsed = time.perf_counter() - started
+    cpu = time.process_time() - cpu_started
     ok = violations == 0 and checked == 10000 and elapsed < 10.0
     _line(
         7,
         ok,
-        f"{checked} attacked examples all inside the budget and [0,1] exactly ({elapsed:.1f}s)",
+        f"{checked} attacked examples all inside the budget and [0,1] exactly "
+        f"({elapsed:.1f}s wall, {cpu:.1f}s CPU)",
     )
     assert violations == 0
     assert checked == 10000
@@ -460,7 +464,7 @@ def test_criterion_7_attack_feasibility():
 
 
 def test_criterion_8_desk_scale_fairness(toy_runs):
-    started = time.perf_counter()
+    started, cpu_started = time.perf_counter(), time.process_time()
     worst_wins = 0
     variance_wins = 0
     details = []
@@ -474,12 +478,13 @@ def test_criterion_8_desk_scale_fairness(toy_runs):
             f"{baseline.worst_class_accuracy:.3f}"
         )
     elapsed = time.perf_counter() - started
+    cpu = time.process_time() - cpu_started
     ok = worst_wins >= 2 and variance_wins >= 2 and elapsed < 600.0
     _line(
         8,
         ok,
         f"worst-class wins {worst_wins}/3, variance wins {variance_wins}/3 "
-        f"({'; '.join(details)}) ({elapsed:.0f}s)",
+        f"({'; '.join(details)}) ({elapsed:.0f}s wall, {cpu:.0f}s CPU)",
     )
     assert worst_wins >= 2
     assert variance_wins >= 2
@@ -487,7 +492,7 @@ def test_criterion_8_desk_scale_fairness(toy_runs):
 
 
 def test_criterion_9_radius_sensitivity(toy_runs):
-    started = time.perf_counter()
+    started, cpu_started = time.perf_counter(), time.process_time()
     worst_rises = 0
     average_declines = 0
     for seed in SEEDS:
@@ -497,12 +502,13 @@ def test_criterion_9_radius_sensitivity(toy_runs):
         worst_rises += medium.worst_class_accuracy >= small.worst_class_accuracy
         average_declines += large.average_accuracy <= small.average_accuracy
     elapsed = time.perf_counter() - started
+    cpu = time.process_time() - cpu_started
     ok = worst_rises >= 2 and average_declines >= 2 and elapsed < 900.0
     _line(
         9,
         ok,
         f"worst-class rise 0.05->0.3 in {worst_rises}/3 seeds, average decline "
-        f"0.05->1.5 in {average_declines}/3 seeds ({elapsed:.0f}s)",
+        f"0.05->1.5 in {average_declines}/3 seeds ({elapsed:.0f}s wall, {cpu:.0f}s CPU)",
     )
     assert worst_rises >= 2
     assert average_declines >= 2

@@ -587,19 +587,31 @@ class TestFecCommand:
         assert not (tmp_path / "fec").exists()
 
     @pytest.mark.parametrize(
-        "row, cell",
-        [("0.3,0.5", "''"), ("0.3,x,0.5", "'x'")],
-        ids=["missing_cell", "non_numeric_cell"],
+        "row, message",
+        [
+            ("0.3,0.5", "could not convert string to float: ''"),
+            ("0.3,x,0.5", "could not convert string to float: 'x'"),
+            ("0.3,0,6,0.5", "4 cells, expected 3"),
+        ],
+        ids=["missing_cell", "non_numeric_cell", "decimal_comma"],
     )
-    def test_bad_csv_cell_names_file_and_line(self, tmp_path, capsys, row, cell):
+    def test_bad_csv_cell_names_file_and_line(self, tmp_path, capsys, row, message):
         csv_path = tmp_path / "sweep.csv"
         csv_path.write_text(f"eta,avg,wst\n0,0.5,0.4\n{row}\n", encoding="utf-8")
         rc = main(["fec", "--csv", str(csv_path), "--baseline", "eta0",
                    "--out", str(tmp_path / "fec")])
         assert rc == 2
-        assert capsys.readouterr().err == (
-            f"error: {csv_path}:3: could not convert string to float: {cell}\n"
-        )
+        assert capsys.readouterr().err == f"error: {csv_path}:3: {message}\n"
+        assert not (tmp_path / "fec").exists()
+
+    def test_undecodable_csv_names_the_file(self, tmp_path, capsys):
+        csv_path = tmp_path / "sweep.csv"
+        csv_path.write_bytes(b"eta,avg,wst\n0,0.5,0.4\n\xff\n")
+        rc = main(["fec", "--csv", str(csv_path), "--baseline", "eta0",
+                   "--out", str(tmp_path / "fec")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {csv_path}: 'utf-8' codec can't decode byte 0xff")
         assert not (tmp_path / "fec").exists()
 
     def test_missing_baseline_rejected(self, tmp_path, capsys):

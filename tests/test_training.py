@@ -505,6 +505,14 @@ class TestTrainingLoop:
         with pytest.raises(ValueError, match=r"history\.jsonl:2: " + message):
             TrainHistory.load_jsonl(path)
 
+    def test_second_header_names_its_line(self, tmp_path):
+        # two histories run together: run b's header must not stand over run a's epochs
+        path = self.rewritten_history(tmp_path, 1, lambda header: header)
+        text = path.read_text(encoding="utf-8")
+        path.write_text(text + text, encoding="utf-8")
+        with pytest.raises(ValueError, match=r"history\.jsonl:3: a second history header"):
+            TrainHistory.load_jsonl(path)
+
     def test_blank_line_names_its_line(self, tmp_path):
         path = self.rewritten_history(tmp_path, 1, lambda header: header)
         path.write_text(path.read_text(encoding="utf-8").replace("\n", "\n\n", 1), encoding="utf-8")
